@@ -409,10 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-model queue bound; arrivals beyond it are rejected",
     )
     serve_common.add_argument(
-        "--no-pipeline", action="store_true",
-        help="dispatch whole models sequentially instead of node-pipelined",
-    )
-    serve_common.add_argument(
         "--no-store", action="store_true",
         help="do not consult or populate the on-disk artifact store",
     )
@@ -1086,7 +1082,6 @@ def _build_serve_server(args: argparse.Namespace):
             queue_depth=args.queue_depth,
         ),
         store=_store_for(args),
-        pipeline=not args.no_pipeline,
         chaos=getattr(args, "chaos", False),
     )
 
@@ -1346,8 +1341,6 @@ def _serve_worker_args(args: argparse.Namespace, chaos: bool = False) -> list[st
         worker += ["--seed", str(args.seed)]
     if args.density is not None:
         worker += ["--density", str(args.density)]
-    if args.no_pipeline:
-        worker.append("--no-pipeline")
     if args.no_store:
         worker.append("--no-store")
     if chaos or getattr(args, "chaos", False):

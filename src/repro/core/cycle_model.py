@@ -43,13 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleStats:
     """Timing statistics of one layer computation on the EIE array.
 
     Attributes:
         total_cycles: wall-clock cycles from first broadcast to last retire.
-        busy_cycles: per-PE cycles spent retiring entries.
+        busy_cycles: per-PE cycles spent retiring entries (read-only, like
+            the record itself: the cycle engine shares one record among
+            batch items with the same broadcast set).
         broadcasts: number of non-zero activations broadcast.
         entries_processed: total entries retired across all PEs (true
             non-zeros plus padding zeros of the touched columns).
@@ -324,13 +326,14 @@ def simulate_layer_cycles(
         padding_total = 0
 
     busy = work.sum(axis=1)
+    busy.setflags(write=False)
     entries_total = int(busy.sum())
     theoretical = entries_total / num_pes
 
     if num_broadcasts == 0:
         return CycleStats(
             total_cycles=0,
-            busy_cycles=np.zeros(num_pes, dtype=np.int64),
+            busy_cycles=busy,
             broadcasts=0,
             entries_processed=0,
             padding_entries=0,
@@ -447,6 +450,7 @@ def simulate_layer_cycles_batch(
     results: list[CycleStats] = []
     for index, work in enumerate(arrays):
         busy = work.sum(axis=1)
+        busy.setflags(write=False)
         entries_total = int(busy.sum())
         num_broadcasts = int(lengths[index])
         results.append(

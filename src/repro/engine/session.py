@@ -380,10 +380,8 @@ class Session:
         ``inputs`` is the node's ``(batch, fan_in)`` activation matrix (as
         produced by :meth:`ModelIR.node_input`).  Returns ``(NodeRun,
         outputs)`` where ``outputs`` are the measured activations the
-        downstream nodes consume.  Both :meth:`run_model` and the serving
-        pipeline dispatch through this method, so a node executes — and
-        reduces, bit for bit — identically whether the whole model runs in
-        one loop or each node runs on its own pipeline stage.
+        downstream nodes consume.  :meth:`run_model` dispatches every node
+        through this method.
         """
         from repro.models.compressed import NodeRun, measured_density
 

@@ -72,7 +72,6 @@ def _serve_latency_point(ctx: ExperimentContext, point: dict) -> dict:
             else None,
             policy=policy,
             store=ctx.session.store,
-            pipeline=bool(params.get("pipeline", True)),
         )
         async with server:
             report = await run_open_loop(
@@ -115,7 +114,6 @@ SERVE_EXPERIMENTS: tuple[Experiment, ...] = (
                 "max_batch": 16,
                 "max_wait_us": 1000.0,
                 "queue_depth": 256,
-                "pipeline": True,
             },
             config={"num_pes": 16},
         ),

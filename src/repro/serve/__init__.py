@@ -10,8 +10,6 @@ cycle engine vectorizes, without changing a single answer bit.
   :class:`~repro.engine.session.Session`, models pre-compressed at startup,
   per-model dynamic batching with admission control and graceful drain
   (:mod:`repro.serve.server`);
-* :class:`ModelPipeline` — node-pipelined whole-model execution across
-  per-stage engine sessions (:mod:`repro.serve.pipeline`);
 * :func:`run_open_loop` / :func:`run_closed_loop` / :class:`LoadReport`
   — Poisson open-loop and fixed-concurrency closed-loop load
   generation with p50/p99/throughput reporting
@@ -54,7 +52,6 @@ from repro.serve.fleet import (
     RestartBackoff,
 )
 from repro.serve.loadgen import LoadReport, run_closed_loop, run_open_loop
-from repro.serve.pipeline import ModelPipeline
 from repro.serve.protocol import AsyncServeClient, start_daemon
 from repro.serve.server import BatchPolicy, Server, ServeResponse
 
@@ -68,7 +65,6 @@ __all__ = [
     "FleetPolicy",
     "FleetSupervisor",
     "LoadReport",
-    "ModelPipeline",
     "RestartBackoff",
     "ServeResponse",
     "Server",

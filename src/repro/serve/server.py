@@ -2,12 +2,11 @@
 
 The EIE paper's deployment story is latency-sensitive batch-1 inference:
 each user request is one activation vector.  One vector at a time leaves
-the vectorized ``(batch, n_in)`` engine path (and the node pipeline) idle,
-so :class:`Server` coalesces concurrent single-vector requests per model —
-up to ``max_batch`` of them, waiting at most ``max_wait_us`` for stragglers
-— and dispatches the stacked matrix through the same
-``Session.run_model``/:class:`~repro.serve.pipeline.ModelPipeline` path the
-offline experiments use.  Because model propagation reduces row by row
+the vectorized ``(batch, n_in)`` engine path idle, so :class:`Server`
+coalesces concurrent single-vector requests per model — up to ``max_batch``
+of them, waiting at most ``max_wait_us`` for stragglers — and dispatches the
+stacked matrix through the same ``Session.run_model`` call the offline
+experiments use, on a worker thread so the event loop stays free.  Because model propagation reduces row by row
 (see :func:`repro.engine.session._propagate_rows`), the response a request
 receives is bit-identical to what an offline batch-1 ``run_model`` call on
 the same vector would produce, no matter which requests it was batched
@@ -44,7 +43,6 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.hardware.area import chip_power_w
-from repro.serve.pipeline import ModelPipeline
 
 __all__ = ["BatchPolicy", "ServeResponse", "Server"]
 
@@ -145,7 +143,6 @@ class _ModelState:
         self.policy = policy
         self.spec = spec
         self.queue: asyncio.Queue = asyncio.Queue()
-        self.pipeline: ModelPipeline | None = None
         self.batcher: asyncio.Task | None = None
         # EMA of per-request service seconds, seeding retry-after estimates.
         self.ema_item_s = 0.0
@@ -174,11 +171,7 @@ class Server:
         policy: dynamic-batching policy applied to every model.
         store: optional :class:`~repro.store.artifacts.ArtifactStore` so a
             restart re-loads compressed layers instead of recompressing.
-        pipeline: when true (default), whole-model dispatches flow through a
-            per-model :class:`ModelPipeline`, overlapping node N of batch k
-            with node N+1 of batch k−1; when false they run as plain
-            ``Session.run_model`` calls in a worker thread.  Both paths are
-            bit-identical.
+        chaos: honour :meth:`inject_chaos` (off by default).
 
     Use as an async context manager, or call :meth:`start`/:meth:`close`::
 
@@ -194,7 +187,6 @@ class Server:
         compression: CompressionConfig | None = None,
         policy: BatchPolicy | None = None,
         store: Any | None = None,
-        pipeline: bool = True,
         chaos: bool = False,
     ) -> None:
         if not models:
@@ -207,7 +199,6 @@ class Server:
         self.session = Session(
             compression=self.compression, config=self.config, store=store
         )
-        self.use_pipeline = pipeline
         self._models: dict[str, _ModelState] = {}
         self._started = False
         self._closing = False
@@ -218,7 +209,7 @@ class Server:
         self.chaos_enabled = bool(chaos)
         self._chaos_latency_s = 0.0
         self._chaos_until = 0.0
-        # run_model/pipeline dispatches run here so the event loop stays free.
+        # run_model dispatches run here so the event loop stays free.
         self._executor = ThreadPoolExecutor(
             max_workers=4, thread_name_prefix="repro-serve-dispatch"
         )
@@ -245,10 +236,6 @@ class Server:
                 self._executor, self.session.compress_model, ir, self.config.num_pes
             )
             state = _ModelState(ir, compressed, self.policy, spec=spec)
-            if self.use_pipeline:
-                state.pipeline = ModelPipeline(
-                    compressed, engine=self.engine_name, config=self.config
-                )
             state.batcher = asyncio.create_task(
                 self._batcher_loop(state), name=f"repro-serve-batcher-{ir.name}"
             )
@@ -301,10 +288,6 @@ class Server:
         ]
         if batchers:
             await asyncio.gather(*batchers)
-        loop = asyncio.get_running_loop()
-        for state in self._models.values():
-            if state.pipeline is not None:
-                await loop.run_in_executor(self._executor, state.pipeline.close)
         self._executor.shutdown(wait=True)
         self._closed = True
         return self.stats()
@@ -438,19 +421,17 @@ class Server:
         matrix = np.stack([pending.vector for pending in batch])
         started = time.perf_counter()
         try:
-            if state.pipeline is not None:
-                run = await asyncio.wrap_future(
-                    state.pipeline.submit(matrix, batched=True)
-                )
-            else:
-                run = await loop.run_in_executor(
-                    self._executor,
-                    self.session.run_model,
-                    self.engine_name,
-                    state.compressed,
-                    matrix,
-                    self.config,
-                )
+            # The batcher awaits this dispatch before it forms the next
+            # batch, so at most one batch per model is in flight: a plain
+            # run_model call on the executor is the whole dispatch path.
+            run = await loop.run_in_executor(
+                self._executor,
+                self.session.run_model,
+                self.engine_name,
+                state.compressed,
+                matrix,
+                self.config,
+            )
         except BaseException as exc:
             state.stats["errors"] += len(batch)
             for pending in batch:
@@ -566,7 +547,6 @@ class Server:
             "engine": self.engine_name,
             "num_pes": self.config.num_pes,
             "fifo_depth": self.config.fifo_depth,
-            "pipeline": state.pipeline is not None,
             "spec": state.spec,
             "compression": self.compression.to_dict(),
             "policy": {

@@ -522,7 +522,7 @@ class TestServeFleetCli:
             "--engine", "functional", "--scale", "64", "--seed", "9",
             "--pes", "4", "--fifo-depth", "16", "--density", "0.25",
             "--max-batch", "8", "--max-wait-us", "500", "--queue-depth", "64",
-            "--no-pipeline", "--no-store",
+            "--no-store",
         ])
         worker = _serve_worker_args(args, chaos=True)
         reparsed = build_parser().parse_args(["serve", *worker])
@@ -534,7 +534,7 @@ class TestServeFleetCli:
         assert reparsed.density == 0.25
         assert reparsed.max_batch == 8 and reparsed.max_wait_us == 500.0
         assert reparsed.queue_depth == 64
-        assert reparsed.no_pipeline and reparsed.no_store
+        assert reparsed.no_store
         assert reparsed.chaos is True
 
 

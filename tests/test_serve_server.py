@@ -72,9 +72,8 @@ class TestBitIdentity:
         assert response.total_cycles == offline[0].total_cycles
         assert response.latency_s == offline[0].latency_s
 
-    @pytest.mark.parametrize("pipeline", [True, False], ids=["pipelined", "sequential"])
     def test_coalesced_batches_are_bit_identical_per_request(
-        self, model, requests_and_offline, pipeline
+        self, model, requests_and_offline
     ):
         """Batch composition must never change an individual answer."""
         inputs, offline = requests_and_offline
@@ -82,7 +81,6 @@ class TestBitIdentity:
             model,
             inputs,
             policy=BatchPolicy(max_batch=8, max_wait_us=50_000),
-            pipeline=pipeline,
         )
         assert max(response.batch_size for response in responses) > 1
         for response, reference in zip(responses, offline):
@@ -222,8 +220,7 @@ class TestThroughput:
         configuration — once with batching disabled (max_batch=1) and once
         with max_batch=16.  Batched dispatch rides the vectorized
         ``(batch, n_in)`` engine path, which the calibration in PR 1 puts at
-        ~5-8x, so the 3x floor has real margin.  Both servers run the
-        sequential dispatch path so the comparison isolates batching itself.
+        ~5-8x, so the 3x floor has real margin.
         """
         model = build_model("neuraltalk_lstm", scale=32)
         inputs = synthetic_model_inputs(model, batch=64, seed=11)
@@ -231,9 +228,7 @@ class TestThroughput:
 
         def timed(policy: BatchPolicy) -> tuple[float, list]:
             async def drive():
-                async with Server(
-                    [model], config=CONFIG, policy=policy, pipeline=False
-                ) as server:
+                async with Server([model], config=CONFIG, policy=policy) as server:
                     started = time.perf_counter()
                     responses = await asyncio.gather(
                         *(server.submit(model.name, vector) for vector in inputs)

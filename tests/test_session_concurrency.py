@@ -1,7 +1,7 @@
 """Thread-safety stress tests for the Session LRU caches.
 
-The serving layer reads ``cache_info()`` (stats endpoint) while batcher and
-pipeline threads churn the engine/prepared caches.  The pre-fix
+The serving layer reads ``cache_info()`` (stats endpoint) while dispatch
+threads churn the engine/prepared caches.  The pre-fix
 ``cache_info`` iterated ``_engine_cache`` without the session lock, which
 dies with ``RuntimeError``/``KeyError`` as soon as a concurrent
 ``_cache_put`` inserts or LRU-evicts mid-iteration — reproducibly within
