@@ -6,8 +6,9 @@ the vectorized ``(batch, n_in)`` engine path idle, so :class:`Server`
 coalesces concurrent single-vector requests per model — up to ``max_batch``
 of them, waiting at most ``max_wait_us`` for stragglers — and dispatches the
 stacked matrix through the same ``Session.run_model`` call the offline
-experiments use, on a worker thread so the event loop stays free.  Because model propagation reduces row by row
-(see :func:`repro.engine.session._propagate_rows`), the response a request
+experiments use, on a worker thread so the event loop stays free.  Because
+model propagation reduces row by row (see
+:func:`repro.engine.session._propagate_rows`), the response a request
 receives is bit-identical to what an offline batch-1 ``run_model`` call on
 the same vector would produce, no matter which requests it was batched
 with.
