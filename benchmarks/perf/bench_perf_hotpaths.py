@@ -17,14 +17,7 @@ Usage::
 
 ``--check`` compares the fresh measurements against the committed baseline
 JSON and exits non-zero if any throughput regressed more than
-``--max-slowdown`` (default 2x) — that is the CI gate.  The gate only
-compares entries with matching ``backend``.
-
-When the native kernel tier is usable (numba installed, ``REPRO_NATIVE`` not
-0), the numpy suite runs with the tier forced off — so the ``backend:
-"numpy"`` entries stay honest — and a second suite records ``*_native``
-entries (``compress_native``, ``simulate_native``, ...) measured on the JIT
-kernels, JIT compilation absorbed by the warmup call.
+``--max-slowdown`` (default 2x) — that is the CI gate.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np
 
-from repro import kernels
 from repro.compression.csc import CSCMatrix, InterleavedCSC, interleaved_entry_counts
 from repro.compression.pipeline import CompressionConfig, DeepCompressor
 from repro.compression.quantization import WeightCodebook
@@ -399,95 +391,6 @@ def run_suite(mode: str) -> list[BenchResult]:
     return results
 
 
-def run_native_suite(mode: str) -> list[BenchResult]:
-    """The hot paths again, on the JIT kernel tier (``backend="native"``).
-
-    Rebuilds the same problems as :func:`run_suite` (same seeds, same data)
-    and measures the four kernel-backed paths.  The ``warmup=1`` call of each
-    benchmark absorbs the one-off JIT compilation, so ``seconds`` reflects
-    steady-state throughput — which is what the ≥5x acceptance target and
-    the regression gate are about.
-    """
-    scale = SCALES[mode]
-    rows, cols = scale["rows"], scale["cols"]
-    num_pes, batch = scale["num_pes"], scale["batch"]
-    repeats = scale["repeats"]
-    dense_cells = rows * cols
-    params = {k: v for k, v in scale.items() if k != "repeats"}
-    results: list[BenchResult] = []
-
-    print(f"[{mode}] native tier (numba {kernels.status()['numba']})", flush=True)
-    dense = _dense_matrix(rows, cols, scale["density"])
-
-    compressor = DeepCompressor(CompressionConfig(target_density=scale["density"]))
-    results.append(run_benchmark(
-        "compress_native", lambda: compressor.compress(dense, num_pes=num_pes),
-        work_items=dense_cells, unit="dense elements", params=params,
-        repeats=repeats, warmup=1, backend="native",
-    ))
-    print(f"  compress_native:       {results[-1].seconds:8.4f} s "
-          f"({results[-1].throughput:.3e} {results[-1].unit}/s)", flush=True)
-
-    codebook = WeightCodebook.fit(dense[dense != 0.0], rng=0)
-    indices = codebook.quantize(dense).astype(np.float64)
-    results.append(run_benchmark(
-        "csc_encode_native", lambda: InterleavedCSC.from_dense(indices, num_pes=num_pes),
-        work_items=dense_cells, unit="dense elements", params=params,
-        repeats=repeats, warmup=1, backend="native",
-    ))
-    print(f"  csc_encode_native:     {results[-1].seconds:8.4f} s "
-          f"({results[-1].throughput:.3e} {results[-1].unit}/s)", flush=True)
-
-    pattern = generate_sparse_pattern(rows, cols, scale["density"], make_rng(11))
-    results.append(run_benchmark(
-        "pattern_counts_native",
-        lambda: interleaved_entry_counts(
-            pattern.row_indices, pattern.col_ptr, num_rows=rows, num_pes=num_pes
-        ),
-        work_items=pattern.nnz, unit="nonzeros", params=params,
-        repeats=repeats, warmup=1, backend="native",
-    ))
-    print(f"  pattern_counts_native: {results[-1].seconds:8.4f} s "
-          f"({results[-1].throughput:.3e} {results[-1].unit}/s)", flush=True)
-
-    counts, _ = interleaved_entry_counts(
-        pattern.row_indices, pattern.col_ptr, num_rows=rows, num_pes=num_pes
-    )
-    activation_rng = make_rng(23)
-    single = np.flatnonzero(
-        generate_activations(cols, scale["activation_density"], activation_rng)
-    )
-    work_single = counts[:, single]
-    results.append(run_benchmark(
-        "simulate_native",
-        lambda: simulate_layer_cycles(
-            work_single, fifo_depth=scale["fifo_depth"], backend="native"
-        ),
-        work_items=int(work_single.sum()), unit="entries", params=params,
-        repeats=max(repeats, 3), warmup=1, backend="native",
-    ))
-    print(f"  simulate_native:       {results[-1].seconds:8.4f} s "
-          f"({results[-1].throughput:.3e} {results[-1].unit}/s)", flush=True)
-
-    works = []
-    for _ in range(batch):
-        nonzero = np.flatnonzero(
-            generate_activations(cols, scale["activation_density"], activation_rng)
-        )
-        works.append(counts[:, nonzero])
-    results.append(run_benchmark(
-        "simulate_batch_native",
-        lambda: simulate_layer_cycles_batch(
-            works, fifo_depth=scale["fifo_depth"], backend="native"
-        ),
-        work_items=int(sum(int(w.sum()) for w in works)), unit="entries",
-        params=params, repeats=repeats, warmup=1, backend="native",
-    ))
-    print(f"  simulate_batch_native: {results[-1].seconds:8.4f} s "
-          f"({results[-1].throughput:.3e} {results[-1].unit}/s)", flush=True)
-    return results
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -505,25 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "paper"
-    if kernels.available():
-        # Keep the backend:"numpy" entries honest: the library fast paths
-        # would otherwise silently pick the JIT kernels up.
-        with kernels.disabled():
-            results = run_suite(mode)
-    else:
-        results = run_suite(mode)
-
-    if kernels.use_native():
-        results.extend(run_native_suite(mode))
-    else:
-        status = kernels.status()
-        if status["numba"] is None:
-            reason = "numba not installed"
-        elif not status["available"]:
-            reason = "kernel self-test failed"
-        else:
-            reason = f"disabled via {kernels.ENV_VAR}=0"
-        print(f"native tier: {reason} -- *_native entries skipped", flush=True)
+    results = run_suite(mode)
 
     if not args.no_write:
         merge_results(args.output, results, mode)

@@ -1,10 +1,8 @@
 """Setuptools packaging for the repro-eie library.
 
-The base install depends only on numpy; the optional JIT kernel tier is a
-separate extra so the default environment stays dependency-light::
+The base install depends only on numpy::
 
-    pip install -e .            # numpy tier only
-    pip install -e .[native]    # + numba JIT kernels (cycle-native engine)
+    pip install -e .            # the library
     pip install -e .[dev]       # + test/benchmark tooling
 """
 
@@ -39,10 +37,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        # The optional JIT kernel tier (src/repro/kernels/).  Everything
-        # works without it; installing it activates the cycle-native engine
-        # and the kernel fast paths inside the compression pipeline.
-        "native": ["numba>=0.57"],
         "dev": ["pytest", "hypothesis", "pytest-benchmark"],
     },
     entry_points={

@@ -13,7 +13,7 @@ commands are thin aliases that build the corresponding spec, and the
     python -m repro.cli summary                        # headline configuration
     python -m repro.cli run --engine cycle --rows 256 --cols 512 --batch 8
 
-    python -m repro.cli engine list                    # backends + kernel tier
+    python -m repro.cli engine list                    # registered simulation engines
     python -m repro.cli experiment list
     python -m repro.cli experiment describe fig8_fifo_depth
     python -m repro.cli experiment run fig8_fifo_depth --jobs 4
@@ -104,20 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-eie",
         description="Regenerate the tables, figures and ablations of the EIE paper.",
     )
-    from repro import __version__, kernels
+    from repro import __version__
 
-    # Backend availability from distribution metadata only — importing numba
-    # here would add hundreds of milliseconds to every CLI invocation.
-    numba_version = kernels.numba_version_installed()
-    native_note = (
-        f"native kernels: numba {numba_version}"
-        if numba_version is not None
-        else "native kernels: not installed"
-    )
     parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {__version__} ({native_note})",
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -125,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "engine", help="inspect the registered simulation backends"
     )
     engine_sub = engine_parser.add_subparsers(dest="engine_command", required=True)
-    engine_sub.add_parser(
-        "list", help="list every registered engine and which compute tier it can use"
-    )
+    engine_sub.add_parser("list", help="list every registered engine")
 
     table_parser = subparsers.add_parser("table", parents=[common], help="regenerate Table I-V")
     table_parser.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
@@ -1023,40 +1011,8 @@ def _run_engine(args: argparse.Namespace) -> str:
 
 
 def _run_engine_command(args: argparse.Namespace) -> str:
-    """``engine list``: every registered backend and its compute tier.
-
-    The numpy-tier engines are always runnable; for the native tier the
-    status column distinguishes "active" (numba installed, self-test passed,
-    not disabled) from the fallback reasons — this is the first place to
-    look when a native run is unexpectedly slow.
-    """
-    from repro import kernels
-
-    status = kernels.status()
-    if status["active"]:
-        native_status = f"active (numba {status['numba']})"
-    elif status["numba"] is None:
-        native_status = "fallback to numpy (numba not installed)"
-    elif not status["available"]:
-        native_status = f"fallback to numpy (numba {status['numba']} failed the kernel self-test)"
-    else:
-        native_status = f"fallback to numpy (disabled via {kernels.ENV_VAR}=0)"
-    rows = []
-    for name in EngineRegistry.names():
-        engine_cls = EngineRegistry.get(name)
-        tier = getattr(engine_cls, "backend", "numpy")
-        rows.append([name, tier, native_status if tier == "native" else "always available"])
-    footer_rows = [
-        ["numba", status["numba"] or "not installed"],
-        [f"{kernels.ENV_VAR} gate", "enabled" if status["enabled"] else "disabled (=0)"],
-        ["JIT kernels", ", ".join(status["kernels"])],
-    ]
-    return (
-        "Registered simulation engines:\n"
-        + format_table(["Engine", "Tier", "Status"], rows)
-        + "\n\nNative kernel tier:\n"
-        + format_table(["Field", "Value"], footer_rows)
-    )
+    """``engine list``: every registered engine name, one per line."""
+    return "Registered simulation engines:\n" + "\n".join(EngineRegistry.names())
 
 
 def _build_serve_server(args: argparse.Namespace):

@@ -20,7 +20,7 @@ Every encode/decode path is vectorised: a whole matrix is encoded with one
 done arithmetically on the gap counts (no per-element Python loop), and all
 per-PE slices of :class:`InterleavedCSC` are built from a single stable
 counting sort of the non-zeros by owning PE instead of ``N`` independent
-re-encodes.  The test suite pins these kernels bit-for-bit against retained
+re-encodes.  The test suite pins these encoders bit-for-bit against retained
 per-element reference implementations.
 """
 
@@ -31,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import EncodingError
 from repro.utils.validation import require_matrix
 
@@ -430,36 +429,7 @@ class InterleavedCSC:
         num_rows, num_cols = dense.shape
         columns, rows, nonzero_values = _sparse_from_dense(dense)
 
-        if columns.size and kernels.use_native():
-            # Kernel tier: two compiled passes over the column-major
-            # non-zeros (count, then scatter into pe-grouped positions)
-            # replace the counting sort + arithmetic run splitting.  The
-            # emitted streams are bit-identical (parity-suite pinned).
-            columns64 = columns.astype(np.int64, copy=False)
-            rows64 = rows.astype(np.int64, copy=False)
-            native = kernels.get()
-            counts_flat, nnz_flat = native.interleaved_group_counts(
-                columns64, rows64, num_pes, num_cols, max_run
-            )
-            cursors = np.zeros(counts_flat.shape[0], dtype=np.int64)
-            np.cumsum(counts_flat[:-1], out=cursors[1:])
-            total_entries = int(counts_flat.sum())
-            values = np.empty(total_entries, dtype=np.float64)
-            runs = np.empty(total_entries, dtype=np.int64)
-            native.interleaved_fill_streams(
-                columns64,
-                rows64,
-                nonzero_values,
-                cursors,
-                num_pes,
-                num_cols,
-                max_run,
-                values,
-                runs,
-            )
-            per_group = counts_flat.reshape(num_pes, num_cols)
-            nnz_per_pe = nnz_flat.reshape(num_pes, num_cols).sum(axis=1)
-        elif columns.size:
+        if columns.size:
             local_rows, pes = np.divmod(rows, rows.dtype.type(num_pes))
             order = _stable_order_by_pe(pes, num_pes)
             sorted_pes = pes[order]
@@ -564,26 +534,13 @@ class InterleavedCSC:
         )
         is_padding = values == 0.0
         if is_padding.any():
-            if kernels.use_native():
-                # Kernel tier: tally padding zeros per (PE, column) directly
-                # from the concatenated streams, PEs in parallel, instead of
-                # materialising the O(entries) group-id array.
-                col_ptrs = np.stack([matrix.col_ptr for matrix in self.per_pe])
-                entries = np.asarray(
-                    [matrix.num_entries for matrix in self.per_pe], dtype=np.int64
-                )
-                bases = np.zeros(self.num_pes, dtype=np.int64)
-                np.cumsum(entries[:-1], out=bases[1:])
-                padding = np.zeros_like(counts)
-                kernels.get().padding_tallies(values, col_ptrs, bases, padding)
-            else:
-                group_ids = np.repeat(
-                    np.arange(self.num_pes * self.num_cols, dtype=np.int64),
-                    counts.reshape(-1),
-                )
-                padding = np.bincount(
-                    group_ids[is_padding], minlength=self.num_pes * self.num_cols
-                ).reshape(self.num_pes, self.num_cols)
+            group_ids = np.repeat(
+                np.arange(self.num_pes * self.num_cols, dtype=np.int64),
+                counts.reshape(-1),
+            )
+            padding = np.bincount(
+                group_ids[is_padding], minlength=self.num_pes * self.num_cols
+            ).reshape(self.num_pes, self.num_cols)
         padding.flags.writeable = False
         return padding
 
@@ -670,16 +627,6 @@ def interleaved_entry_counts(
     padding_counts = np.zeros((num_pes, num_cols), dtype=np.int64)
     if row_indices.size == 0:
         return nnz_counts, padding_counts
-
-    if kernels.use_native():
-        # Kernel tier: one compiled pass over the pattern computes total and
-        # non-zero counts per (PE, column); padding is their difference.
-        columns = np.repeat(np.arange(num_cols, dtype=np.int64), np.diff(col_ptr))
-        counts_flat, nnz_flat = kernels.get().interleaved_group_counts(
-            columns, row_indices, num_pes, num_cols, max_run
-        )
-        padding_counts = (counts_flat - nnz_flat).reshape(num_pes, num_cols)
-        return counts_flat.reshape(num_pes, num_cols), padding_counts
 
     # 32-bit index arithmetic (safe: rows/cols/groups all < 2**31 whenever
     # the dense matrix has fewer than 2**31 cells) roughly halves the cost of

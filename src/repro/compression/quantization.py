@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import CompressionError
 from repro.utils.rng import make_rng
 
@@ -38,15 +37,6 @@ def _nearest_centroid_indices(values: np.ndarray, centroids: np.ndarray) -> np.n
     k = sorted_centroids.shape[0]
     if k == 1:
         return np.zeros(values.shape, dtype=np.int64)
-    if kernels.use_native():
-        result = np.empty(values.shape[0], dtype=np.int64)
-        kernels.get().nearest_assign(
-            np.ascontiguousarray(values, dtype=np.float64),
-            sorted_centroids,
-            order.astype(np.int64, copy=False),
-            result,
-        )
-        return result
     insertion = np.searchsorted(sorted_centroids, values)
     left = np.clip(insertion - 1, 0, k - 1)
     right = np.clip(insertion, 0, k - 1)
@@ -157,19 +147,6 @@ def kmeans_codebook(
     # summation order — precompute one prefix sum and read each iteration's
     # member counts off the segment boundaries for free.
     counts_prefix = np.concatenate([[0.0], np.cumsum(counts)])
-    if kernels.use_native():
-        # Kernel tier: the whole Lloyd iteration (assignment crossovers,
-        # bincount-order member sums, convergence test) runs as one compiled
-        # loop over the unique-value histogram — bit-identical to the numpy
-        # sweep below (parity-suite pinned).
-        return kernels.get().kmeans_sweeps(
-            unique_values,
-            counts,
-            weighted_values,
-            counts_prefix,
-            centroids.copy(),
-            int(max_iterations),
-        )
     cluster_ids = np.arange(num_clusters, dtype=np.int64)
     for _ in range(max_iterations):
         # Assign each distinct value to its nearest centroid, then update

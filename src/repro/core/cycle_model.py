@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels
 from repro.compression.pipeline import CompressedLayer
 from repro.core.config import EIEConfig
 from repro.core.stats import LoadBalanceStats, PerformanceStats
@@ -269,17 +268,12 @@ def simulate_layer_cycles(
     padding_work: np.ndarray | None = None,
     clock_mhz: float = 800.0,
     assume_valid: bool = False,
-    backend: str = "numpy",
 ) -> CycleStats:
     """Simulate the broadcast/FIFO timing for one layer.
 
     The single-input path is the batched recurrence
     (:func:`_blocked_recurrence_totals`) run on a batch of one — one
-    implementation, no drift between the two entry points.  With
-    ``backend="native"`` (and the kernel tier usable, see
-    :mod:`repro.kernels`) the recurrence instead runs as a compiled
-    nopython loop; the arithmetic is pure int64 either way, so the result
-    is bit-identical (pinned by the backend-parameterized parity suites).
+    implementation, no drift between the two entry points.
 
     Args:
         work: integer array of shape ``(num_pes, num_broadcasts)``;
@@ -293,9 +287,6 @@ def simulate_layer_cycles(
             dimensionality checks.  Set by the engine adapter, whose prepared
             layers already hold validated int64 work matrices — the checks
             would otherwise re-scan every entry on every run call.
-        backend: ``"numpy"`` (default) or ``"native"``; the latter silently
-            falls back to numpy when the kernel tier is unavailable or
-            disabled via ``REPRO_NATIVE=0``.
 
     Returns:
         A :class:`CycleStats` with total cycles, per-PE busy cycles and the
@@ -343,19 +334,12 @@ def simulate_layer_cycles(
             clock_mhz=clock_mhz,
         )
 
-    if backend == "native" and kernels.use_native():
-        total_cycles = int(
-            kernels.get().recurrence_total_single(
-                np.ascontiguousarray(work.T), int(fifo_depth)
-            )
-        )
-    else:
-        totals = _blocked_recurrence_totals(
-            np.ascontiguousarray(work.T)[:, np.newaxis, :],
-            np.asarray([num_broadcasts], dtype=np.int64),
-            fifo_depth,
-        )
-        total_cycles = int(totals[0])
+    totals = _blocked_recurrence_totals(
+        np.ascontiguousarray(work.T)[:, np.newaxis, :],
+        np.asarray([num_broadcasts], dtype=np.int64),
+        fifo_depth,
+    )
+    total_cycles = int(totals[0])
 
     return CycleStats(
         total_cycles=total_cycles,
@@ -376,7 +360,6 @@ def simulate_layer_cycles_batch(
     padding_totals: "Sequence[int] | None" = None,
     clock_mhz: float = 800.0,
     assume_valid: bool = False,
-    backend: str = "numpy",
 ) -> "list[CycleStats]":
     """Run the broadcast/FIFO recurrence for many inputs at once.
 
@@ -396,9 +379,6 @@ def simulate_layer_cycles_batch(
         clock_mhz: clock frequency for time conversion.
         assume_valid: skip per-item dtype conversion and validity checks
             (engine-adapter fast path for already-prepared int64 matrices).
-        backend: ``"numpy"`` (default) or ``"native"``; the native tier runs
-            the items as a prange-parallel compiled loop over a flat
-            concatenation, falling back silently when unusable.
     """
     if fifo_depth < 1:
         raise SimulationError(f"fifo_depth must be >= 1, got {fifo_depth}")
@@ -429,23 +409,11 @@ def simulate_layer_cycles_batch(
 
     batch = len(arrays)
     lengths = np.asarray([work.shape[1] for work in arrays], dtype=np.int64)
-    if backend == "native" and kernels.use_native():
-        # Flat concatenation instead of the zero-padded tensor: the compiled
-        # loop walks each item's exact span, so short items cost nothing.
-        offsets = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        flat_work = np.empty((int(offsets[-1]), num_pes), dtype=np.int64)
-        for index, work in enumerate(arrays):
-            flat_work[offsets[index] : offsets[index + 1], :] = work.T
-        totals = kernels.get().recurrence_totals_batch(
-            flat_work, offsets, int(fifo_depth)
-        )
-    else:
-        max_broadcasts = int(lengths.max())
-        packed = np.zeros((max_broadcasts, batch, num_pes), dtype=np.int64)
-        for index, work in enumerate(arrays):
-            packed[: work.shape[1], index, :] = work.T
-        totals = _blocked_recurrence_totals(packed, lengths, fifo_depth)
+    max_broadcasts = int(lengths.max())
+    packed = np.zeros((max_broadcasts, batch, num_pes), dtype=np.int64)
+    for index, work in enumerate(arrays):
+        packed[: work.shape[1], index, :] = work.T
+    totals = _blocked_recurrence_totals(packed, lengths, fifo_depth)
 
     results: list[CycleStats] = []
     for index, work in enumerate(arrays):

@@ -13,12 +13,7 @@ One seam in front of every EIE backend (see ``docs/ARCHITECTURE.md``):
   (:mod:`repro.engine.session`).
 """
 
-from repro.engine.adapters import (
-    CycleEngine,
-    FunctionalEngine,
-    NativeCycleEngine,
-    RTLEngine,
-)
+from repro.engine.adapters import CycleEngine, FunctionalEngine, RTLEngine
 from repro.engine.base import EngineResult, PreparedLayer, SimulationEngine
 from repro.engine.registry import EngineRegistry, register_engine
 from repro.engine.session import Session
@@ -28,7 +23,6 @@ __all__ = [
     "EngineRegistry",
     "EngineResult",
     "FunctionalEngine",
-    "NativeCycleEngine",
     "PreparedLayer",
     "RTLEngine",
     "Session",

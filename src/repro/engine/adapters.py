@@ -43,7 +43,7 @@ from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
 from repro.nn.layers import ACTIVATIONS
 
-__all__ = ["FunctionalEngine", "CycleEngine", "NativeCycleEngine", "RTLEngine"]
+__all__ = ["FunctionalEngine", "CycleEngine", "RTLEngine"]
 
 
 def _require_compressed_layer(engine_name: str, layer: object) -> CompressedLayer:
@@ -122,9 +122,6 @@ class CycleEngine(SimulationEngine):
     """
 
     name = "cycle"
-    #: Which recurrence implementation ``run`` asks for; the native subclass
-    #: overrides this.  Falls back to numpy inside the simulate functions.
-    backend = "numpy"
 
     def prepare_token(self) -> tuple:
         # Work matrices depend on the interleaving (PE count) only, so one
@@ -189,7 +186,6 @@ class CycleEngine(SimulationEngine):
                 padding_work=padding,
                 clock_mhz=self.config.clock_mhz,
                 assume_valid=True,
-                backend=self.backend,
             )
             return EngineResult(engine=self.name, batch_size=1, batched=False, cycles=(stats,))
         if kind == "schedule":
@@ -207,7 +203,6 @@ class CycleEngine(SimulationEngine):
                     padding_work=padding[:, column_ids],
                     clock_mhz=self.config.clock_mhz,
                     assume_valid=True,
-                    backend=self.backend,
                 ),
             )
         else:
@@ -247,33 +242,11 @@ class CycleEngine(SimulationEngine):
                 padding_totals=padding_totals.tolist(),
                 clock_mhz=self.config.clock_mhz,
                 assume_valid=True,
-                backend=self.backend,
             )
             stats = tuple(per_mask[index] for index in inverse.ravel())
         return EngineResult(
             engine=self.name, batch_size=matrix.shape[0], batched=batched, cycles=stats
         )
-
-
-@register_engine
-class NativeCycleEngine(CycleEngine):
-    """The cycle model on the JIT-compiled kernel tier (``repro.kernels``).
-
-    ``prepare`` is inherited unchanged — the work/padding matrices are
-    backend-independent — while ``run`` asks the simulate functions for the
-    ``"native"`` recurrence, which executes as a compiled nopython loop when
-    numba is usable and silently falls back to the numpy implementation
-    otherwise (numba absent, self-test failed, or ``REPRO_NATIVE=0``).
-    Results are bit-identical either way: the recurrence is pure int64
-    arithmetic, pinned by the backend-parameterized parity suites.
-
-    The engine name differs from ``"cycle"``, so ``prepare_token()`` and the
-    session's engine-cache keys differ too — prepared layers and engine
-    instances of the two tiers never collide in a :class:`Session`.
-    """
-
-    name = "cycle-native"
-    backend = "native"
 
 
 @register_engine

@@ -128,12 +128,6 @@ class SimulationEngine(abc.ABC):
     #: Registry key of the backend (e.g. ``"functional"``).
     name: ClassVar[str] = ""
 
-    #: Compute tier the engine runs on: ``"numpy"`` for the pure-array
-    #: implementations, ``"native"`` for the JIT kernel tier
-    #: (:mod:`repro.kernels`).  Surfaced by ``repro engine list`` and the
-    #: session cache statistics.
-    backend: ClassVar[str] = "numpy"
-
     def __init__(self, config: EIEConfig | None = None) -> None:
         self.config = config or EIEConfig()
 

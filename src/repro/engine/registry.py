@@ -8,15 +8,13 @@ analysis sweeps and the benchmark harness — can select it by name.
 
 The built-in backends are registered when :mod:`repro.engine` is imported:
 
-============ ==============================================================
-Key          Backend
-============ ==============================================================
-functional   bit-exact value simulation (:class:`FunctionalEIE` adapter)
-cycle        broadcast/FIFO timing model (:class:`CycleAccurateEIE` adapter)
-cycle-native the same timing model on the JIT kernel tier
-             (:mod:`repro.kernels`; falls back to numpy when unusable)
-rtl          two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)
-============ ==============================================================
+========== ================================================================
+Key        Backend
+========== ================================================================
+functional bit-exact value simulation (:class:`FunctionalEIE` adapter)
+cycle      broadcast/FIFO timing model (:class:`CycleAccurateEIE` adapter)
+rtl        two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)
+========== ================================================================
 """
 
 from __future__ import annotations

@@ -492,7 +492,7 @@ class Session:
         ``"engines"`` entry additionally breaks entries down by engine name
         under ``"by_engine"`` — engine-cache keys include the registry name,
         so same-config instances of different backends (``cycle`` versus
-        ``cycle-native``) occupy distinct entries and never collide.
+        ``functional``) occupy distinct entries and never collide.
         """
         if self.store is not None:
             store_stats = self.store.stats()

@@ -115,21 +115,6 @@ class ExperimentContext:
             return self._memo[key]
 
 
-def _partition_indices(count: int, parts: int) -> list[range]:
-    """Split ``range(count)`` into ``parts`` contiguous, near-equal ranges.
-
-    Contiguity matters: the point grid leads with the benchmark axis, so
-    contiguous chunks keep each worker on as few distinct layers as possible
-    (fewer compressions/preparations per process).
-    """
-    parts = max(1, min(parts, count))
-    base, extra = divmod(count, parts)
-    bounds = [0]
-    for part in range(parts):
-        bounds.append(bounds[-1] + base + (1 if part < extra else 0))
-    return [range(bounds[i], bounds[i + 1]) for i in range(parts)]
-
-
 def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
     """Process-pool worker: execute one contiguous chunk of grid points.
 
@@ -438,7 +423,12 @@ class ExperimentRunner:
         if executor == "serial" or jobs == 1 or len(points) <= 1:
             per_point = [run_one(point) for point in points]
         elif executor == "processes":
-            chunks = _partition_indices(len(points), jobs)
+            # Local import: repro.shard.plan imports this module.
+            from repro.shard.plan import shard_ranges
+
+            # Contiguous chunks keep each worker on as few distinct layers
+            # as possible (the grid leads with the benchmark axis).
+            chunks = shard_ranges(len(points), max(1, min(jobs, len(points))))
             # Workers share whichever store this runner's session uses —
             # whether it was passed as store= or came attached to an
             # injected session.

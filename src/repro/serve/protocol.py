@@ -138,17 +138,12 @@ async def _handle_message(server: Server, message: dict[str, Any]) -> dict[str, 
             vector = message.get("input")
             if not isinstance(model, str) or vector is None:
                 raise ServeError("infer needs a 'model' name and an 'input' vector")
-            deadline_s = message.get("deadline_s")
-            if deadline_s is not None and (
-                not isinstance(deadline_s, (int, float)) or deadline_s <= 0
-            ):
-                raise ServeError(
-                    f"'deadline_s' must be a positive number, got {deadline_s!r}"
-                )
+            # Server.submit rejects a non-finite, boolean or non-positive
+            # deadline_s (json.loads accepts NaN and Infinity).
             response = await server.submit(
                 model,
                 np.asarray(vector, dtype=np.float64),
-                deadline_s=None if deadline_s is None else float(deadline_s),
+                deadline_s=message.get("deadline_s"),
             )
             return {
                 "id": request_id,

@@ -25,6 +25,8 @@ queued requests are still served, new ones are rejected with
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -309,10 +311,18 @@ class Server:
         ``deadline_s`` is the request's relative deadline: if it expires
         while the request is still queued, the request fails with
         :class:`DeadlineExceededError` *without being computed* — doomed
-        work is shed before it wastes a dispatch slot.
+        work is shed before it wastes a dispatch slot.  It must be a finite,
+        positive real number (not a bool): a NaN deadline would never expire.
         """
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServeError(f"deadline_s must be positive or None, got {deadline_s}")
+        if deadline_s is not None and (
+            isinstance(deadline_s, bool)
+            or not isinstance(deadline_s, numbers.Real)
+            or not math.isfinite(deadline_s)
+            or deadline_s <= 0
+        ):
+            raise ServeError(
+                f"deadline_s must be a finite positive number or None, got {deadline_s!r}"
+            )
         if self._closing or self._closed:
             raise ServerClosedError("server is shutting down")
         if not self._started:

@@ -4,13 +4,13 @@ A :class:`ShardPlan` is a pure function of the merged spec and the shard
 count: it re-resolves the experiment exactly like
 :meth:`~repro.experiments.runner.ExperimentRunner.resolve` (same workload
 resolution, same grid expansion, same point order) and splits the point list
-into ``shard_count`` contiguous chunks in spec order — the same chunking
-discipline the process executor uses, so each shard touches as few distinct
-layers as possible.  Unlike the process executor's partitioner, the shard
-count is **not** clamped to the point count: a plan is addressed by
-``(shard_id, shard_count)`` from independent invocations that must all agree
-on the partition, so ``shard_count > len(points)`` simply yields empty
-trailing shards.
+into ``shard_count`` contiguous chunks in spec order with
+:func:`shard_ranges` — the partitioner the process executor uses too, so
+each shard touches as few distinct layers as possible.  The process executor
+clamps its part count to the point count; a plan does **not**: it is
+addressed by ``(shard_id, shard_count)`` from independent invocations that
+must all agree on the partition, so ``shard_count > len(points)`` simply
+yields empty trailing shards.
 """
 
 from __future__ import annotations

@@ -70,10 +70,6 @@ class BenchResult:
         work_items: units of work one call processes (for throughput).
         unit: what a work item is (e.g. ``"dense elements"``).
         params: free-form problem description (sizes, density, PEs, ...).
-        backend: compute tier the measurement ran on (``"numpy"`` or
-            ``"native"``); the regression gate only compares entries whose
-            backend matches, so a native-recorded baseline never gates a
-            numpy run (or vice versa).
     """
 
     name: str
@@ -82,7 +78,6 @@ class BenchResult:
     work_items: float
     unit: str
     params: dict = field(default_factory=dict)
-    backend: str = "numpy"
 
     @property
     def throughput(self) -> float:
@@ -99,7 +94,6 @@ class BenchResult:
             "unit": self.unit,
             "throughput": self.throughput,
             "params": dict(self.params),
-            "backend": self.backend,
         }
 
 
@@ -111,7 +105,6 @@ def run_benchmark(
     params: Mapping[str, Any] | None = None,
     repeats: int = 3,
     warmup: int = 1,
-    backend: str = "numpy",
 ) -> BenchResult:
     """Time ``fn`` and package the measurement as a :class:`BenchResult`."""
     seconds = time_call(fn, repeats=repeats, warmup=warmup)
@@ -122,18 +115,7 @@ def run_benchmark(
         work_items=float(work_items),
         unit=unit,
         params=dict(params or {}),
-        backend=backend,
     )
-
-
-def _installed_numba_version() -> str | None:
-    """Installed numba version from distribution metadata (no import cost)."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        return version("numba")
-    except Exception:
-        return None
 
 
 def _load(path: Path) -> dict:
@@ -163,17 +145,14 @@ def merge_results(
     data = _load(path)
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     # Environment facets that change what a throughput number means: the
-    # machine, its core count (prange kernels scale with it) and the numba
-    # version (or None for a pure-numpy environment).
+    # machine and its core count.
     machine = platform.machine() or "unknown"
     cpu_count = os.cpu_count() or 1
-    numba_version = _installed_numba_version()
     for result in results:
         entry = result.to_dict()
         entry["recorded_at"] = stamp
         entry["machine"] = machine
         entry["cpu_count"] = cpu_count
-        entry["numba_version"] = numba_version
         data["entries"][f"{mode}/{result.name}"] = entry
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
@@ -190,10 +169,7 @@ def check_against_baseline(
     Returns a list of human-readable failure strings, one per entry whose
     throughput dropped by more than ``max_slowdown`` versus the baseline
     (empty list = no regression).  Entries absent from the baseline are
-    skipped — they have no trajectory to regress against yet.  So are
-    entries whose recorded ``backend`` differs from the fresh measurement's
-    (pre-backend baselines count as ``"numpy"``): a native-tier baseline
-    must never gate a numpy-tier run, or vice versa.
+    skipped — they have no trajectory to regress against yet.
     """
     if max_slowdown <= 1.0:
         raise ValueError(f"max_slowdown must be > 1, got {max_slowdown}")
@@ -205,8 +181,6 @@ def check_against_baseline(
     for result in results:
         recorded = baseline.get(f"{mode}/{result.name}")
         if not recorded:
-            continue
-        if recorded.get("backend", "numpy") != result.backend:
             continue
         old_throughput = float(recorded.get("throughput", 0.0))
         if old_throughput <= 0.0 or result.throughput <= 0.0:

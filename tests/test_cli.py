@@ -66,7 +66,13 @@ class TestVersionAndUnknownCommands:
         out = capsys.readouterr().out
         import repro
 
-        assert "repro-eie" in out and repro.__version__ in out
+        assert out.strip() == f"repro-eie {repro.__version__}"
+
+    def test_engine_list_prints_every_registered_engine(self, capsys):
+        assert main(["engine", "list"]) == 0
+        out = capsys.readouterr().out
+        engines = out.splitlines()[1:]
+        assert engines == ["cycle", "functional", "rtl"]
 
     def test_unknown_command_exits_2_with_one_line_hint(self, capsys):
         assert main(["bogus-command"]) == 2

@@ -6,7 +6,7 @@ distinct non-zero mask of a batch once and shares the resulting
 :class:`CycleStats` among every item with that mask.  These tests pin:
 
 * exactness — a batched run equals a per-item ``simulate_layer_cycles`` on
-  every ``CycleStats`` field, for ``cycle`` and ``cycle-native``;
+  every ``CycleStats`` field;
 * the cut itself — rows sharing one mask reach the batched recurrence as a
   single work matrix, so a later refactor cannot silently undo it;
 * safety of the sharing — the record is frozen and its ``busy_cycles`` is
@@ -33,7 +33,7 @@ from repro.core.cycle_model import (
 )
 from repro.engine import EngineRegistry
 
-ENGINES = ("cycle", "cycle-native")
+ENGINES = ("cycle",)
 
 
 def _compress(rows: int, cols: int, num_pes: int, seed: int):

@@ -139,38 +139,6 @@ class TestBatchedEqualsLoop:
         assert np.array_equal(outputs[1], np.zeros(compressed_layer.rows))
 
 
-class TestNativeCycleParity:
-    """``cycle-native`` must agree with ``cycle`` result-for-result.
-
-    On a numba-free machine the native engine silently falls back to the
-    numpy kernels, so this parity is trivially exact — the suite still runs
-    to pin the fallback path.  On the CI leg with numba installed it pins
-    the JIT recurrence kernels to the numpy reference bit-for-bit.
-    """
-
-    @SETTINGS
-    @given(case=layer_and_activations())
-    def test_native_engine_matches_cycle_engine(self, case):
-        layer, config, activations = case
-        native = EngineRegistry.create("cycle-native", config)
-        numpy_engine = EngineRegistry.create("cycle", config)
-        native_result = native.run(native.prepare(layer), activations)
-        numpy_result = numpy_engine.run(numpy_engine.prepare(layer), activations)
-        assert len(native_result.cycles) == len(numpy_result.cycles)
-        for ours, reference in zip(native_result.cycles, numpy_result.cycles):
-            assert_cycle_stats_equal(ours, reference)
-
-    def test_fixture_layer_matches(self, compressed_layer, small_config,
-                                   dense_activations):
-        native = EngineRegistry.create("cycle-native", small_config)
-        result = native.run(native.prepare(compressed_layer), dense_activations)
-        assert_cycle_stats_equal(
-            result.stats, CycleAccurateEIE(small_config).simulate_layer(
-                compressed_layer, dense_activations
-            )
-        )
-
-
 class TestRTLParity:
     def test_rtl_matches_functional_values(self, compressed_layer, small_config,
                                            dense_activations):

@@ -11,7 +11,6 @@ from repro.engine import (
     CycleEngine,
     EngineRegistry,
     FunctionalEngine,
-    NativeCycleEngine,
     RTLEngine,
     Session,
     SimulationEngine,
@@ -22,10 +21,9 @@ from repro.errors import ConfigurationError, SimulationError
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert EngineRegistry.names() == ("cycle", "cycle-native", "functional", "rtl")
+        assert EngineRegistry.names() == ("cycle", "functional", "rtl")
         assert EngineRegistry.get("functional") is FunctionalEngine
         assert EngineRegistry.get("cycle") is CycleEngine
-        assert EngineRegistry.get("cycle-native") is NativeCycleEngine
         assert EngineRegistry.get("rtl") is RTLEngine
 
     def test_create_binds_config(self):
@@ -193,6 +191,19 @@ class TestSession:
         session = Session(config=small_config)
         assert session.engine("cycle") is session.engine("cycle")
         assert session.engine("cycle") is not session.engine("cycle", EIEConfig(num_pes=8))
+
+    def test_session_cache_keys_engines_by_name(self):
+        session = Session()
+        config = EIEConfig(num_pes=4)
+        cycle = session.engine("cycle", config)
+        functional = session.engine("functional", config)
+        assert cycle is not functional
+        info = session.cache_info()["engines"]
+        assert info["entries"] == 2
+        assert info["by_engine"] == {"cycle": 1, "functional": 1}
+        # Same (name, config) -> cache hit, not a third entry.
+        assert session.engine("cycle", config) is cycle
+        assert session.cache_info()["engines"]["entries"] == 2
 
     def test_run_convenience_matches_manual_steps(self, sparse_weights, small_config,
                                                   dense_activations):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentRunner, run_experiment
-from repro.experiments.runner import EXECUTORS, _partition_indices
+from repro.experiments.runner import EXECUTORS
 from repro.store import ArtifactStore
 from repro.workloads.benchmarks import scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
@@ -26,20 +26,6 @@ def builder() -> WorkloadBuilder:
 def subset():
     specs = scaled_benchmarks(SCALE)
     return [specs["Alex-7"], specs["NT-We"]]
-
-
-class TestPartitioning:
-    def test_contiguous_cover_without_overlap(self):
-        for count in (1, 2, 5, 8, 13):
-            for parts in (1, 2, 3, 4, 16):
-                chunks = _partition_indices(count, parts)
-                flat = [index for chunk in chunks for index in chunk]
-                assert flat == list(range(count))
-                assert len(chunks) == min(parts, count)
-
-    def test_near_equal_sizes(self):
-        sizes = [len(chunk) for chunk in _partition_indices(10, 4)]
-        assert sizes == [3, 3, 2, 2]
 
 
 class TestExecutorValidation:

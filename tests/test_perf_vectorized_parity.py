@@ -7,24 +7,13 @@ ground truth, and randomized (hypothesis) property tests assert the
 vectorised paths are bit-identical — including the awkward shapes: all-zero
 columns, zero-runs longer than ``max_run``, single-row matrices, empty (all
 zero / zero-width) matrices and zero-length broadcast schedules.
-
-The kernel-backed tests are additionally parameterized over ``backend`` in
-``{"numpy", "native"}``: the numpy leg forces the JIT tier off (so it pins
-the pure-numpy paths even on a numba-equipped machine) and the native leg —
-skipped cleanly when numba is absent — pins the JIT kernels to the same
-references.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro import kernels
 
 from repro.compression.csc import (
     CSCMatrix,
@@ -48,29 +37,6 @@ from repro.compression.pipeline import DeepCompressor
 from repro.utils.rng import make_rng
 
 SETTINGS = settings(max_examples=25, deadline=None)
-
-#: Backend legs for the kernel-backed parity tests.  The native leg skips
-#: (rather than silently passing on the numpy fallback) when numba is absent.
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not kernels.available(), reason="numba unavailable"
-        ),
-    ),
-]
-
-
-def backend_ctx(backend: str):
-    """Context that pins the library's implicit tier selection to ``backend``.
-
-    Used *inside* hypothesis test bodies (a function-scoped fixture would
-    trip the hypothesis health check) around the calls whose fast path is
-    chosen via ``kernels.use_native()`` rather than an explicit argument.
-    """
-    return kernels.disabled() if backend == "numpy" else contextlib.nullcontext()
-
 
 # -- retained slow reference implementations (the seed's per-element code) --
 
@@ -225,18 +191,16 @@ class TestVectorizedCSCParity:
         assert np.array_equal(encoded.runs, ref_runs)
         assert np.array_equal(encoded.col_ptr, ref_col_ptr)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(
         matrix=dense_matrices(),
         max_run=st.sampled_from([1, 3, 15]),
         num_pes=st.sampled_from([1, 2, 4, 7, 8]),
     )
-    def test_interleaved_slices_bit_identical(self, backend, matrix, max_run, num_pes):
-        with backend_ctx(backend):
-            interleaved = InterleavedCSC.from_dense(
-                matrix, num_pes=num_pes, max_run=max_run
-            )
+    def test_interleaved_slices_bit_identical(self, matrix, max_run, num_pes):
+        interleaved = InterleavedCSC.from_dense(
+            matrix, num_pes=num_pes, max_run=max_run
+        )
         for pe in range(num_pes):
             ref_values, ref_runs, ref_col_ptr = reference_from_dense(
                 matrix[pe::num_pes, :], max_run
@@ -279,7 +243,6 @@ class TestVectorizedCSCParity:
         assert values.tolist() == [1.0, 2.0, 0.0, 3.0]
         assert runs.tolist() == [2, 0, 15, 2]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(
         matrix=dense_matrices(),
@@ -287,7 +250,7 @@ class TestVectorizedCSCParity:
         max_run=st.sampled_from([1, 3, 15]),
     )
     def test_interleaved_entry_counts_match_explicit_encoding(
-        self, backend, matrix, num_pes, max_run
+        self, matrix, num_pes, max_run
     ):
         rows_list: list[int] = []
         col_ptr = [0]
@@ -295,34 +258,31 @@ class TestVectorizedCSCParity:
             nonzero_rows = np.nonzero(matrix[:, column])[0]
             rows_list.extend(nonzero_rows.tolist())
             col_ptr.append(len(rows_list))
-        with backend_ctx(backend):
-            counts, padding = interleaved_entry_counts(
-                np.asarray(rows_list, dtype=np.int64),
-                np.asarray(col_ptr, dtype=np.int64),
-                num_rows=matrix.shape[0],
-                num_pes=num_pes,
-                max_run=max_run,
-            )
-            explicit = InterleavedCSC.from_dense(
-                matrix, num_pes=num_pes, max_run=max_run
-            )
-            assert np.array_equal(counts, explicit.entries_per_pe_column())
-            assert padding.sum() == explicit.num_padding_zeros
+        counts, padding = interleaved_entry_counts(
+            np.asarray(rows_list, dtype=np.int64),
+            np.asarray(col_ptr, dtype=np.int64),
+            num_rows=matrix.shape[0],
+            num_pes=num_pes,
+            max_run=max_run,
+        )
+        explicit = InterleavedCSC.from_dense(
+            matrix, num_pes=num_pes, max_run=max_run
+        )
+        assert np.array_equal(counts, explicit.entries_per_pe_column())
+        assert padding.sum() == explicit.num_padding_zeros
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(matrix=dense_matrices(), num_pes=st.sampled_from([1, 3, 4]))
-    def test_padding_caches_match_recount(self, backend, matrix, num_pes):
-        with backend_ctx(backend):
-            interleaved = InterleavedCSC.from_dense(matrix, num_pes=num_pes)
-            for pe_slice in interleaved.per_pe:
-                assert pe_slice.num_padding_zeros == int(
-                    np.count_nonzero(pe_slice.values == 0.0)
-                )
-            fresh = np.zeros((num_pes, matrix.shape[1]), dtype=np.int64)
-            for pe, pe_slice in enumerate(interleaved.per_pe):
-                fresh[pe, :] = pe_slice.column_entry_counts()
-            cached = interleaved.entries_per_pe_column()
+    def test_padding_caches_match_recount(self, matrix, num_pes):
+        interleaved = InterleavedCSC.from_dense(matrix, num_pes=num_pes)
+        for pe_slice in interleaved.per_pe:
+            assert pe_slice.num_padding_zeros == int(
+                np.count_nonzero(pe_slice.values == 0.0)
+            )
+        fresh = np.zeros((num_pes, matrix.shape[1]), dtype=np.int64)
+        for pe, pe_slice in enumerate(interleaved.per_pe):
+            fresh[pe, :] = pe_slice.column_entry_counts()
+        cached = interleaved.entries_per_pe_column()
         assert np.array_equal(cached, fresh)
         assert cached is interleaved.entries_per_pe_column()  # cached object
         assert not cached.flags.writeable  # cache cannot be poisoned
@@ -332,14 +292,13 @@ class TestVectorizedCSCParity:
 
 
 class TestVectorizedQuantizationParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(
         seed=st.integers(0, 2**31 - 1),
         k=st.sampled_from([1, 2, 4, 8, 15, 16]),
         with_duplicates=st.booleans(),
     )
-    def test_nearest_centroid_matches_argmin(self, backend, seed, k, with_duplicates):
+    def test_nearest_centroid_matches_argmin(self, seed, k, with_duplicates):
         rng = np.random.default_rng(seed)
         if with_duplicates:
             pool = np.array([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 0.75, 1.0, 2.0])
@@ -349,14 +308,12 @@ class TestVectorizedQuantizationParity:
             centroids = rng.normal(size=k)
             values = rng.normal(size=200)
         expected = np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
-        with backend_ctx(backend):
-            actual = _nearest_centroid_indices(values, centroids)
+        actual = _nearest_centroid_indices(values, centroids)
         assert np.array_equal(actual, expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_quantize_bit_identical_to_argmin(self, backend, seed):
+    def test_quantize_bit_identical_to_argmin(self, seed):
         rng = np.random.default_rng(seed)
         codebook = WeightCodebook.fit(rng.normal(size=300), rng=seed)
         values = np.concatenate([rng.normal(size=100), [0.0], codebook.centroids])
@@ -364,33 +321,28 @@ class TestVectorizedQuantizationParity:
             np.abs(values[:, None] - codebook.centroids[None, :]), axis=1
         ).astype(np.int64)
         expected[values == 0.0] = 0
-        with backend_ctx(backend):
-            actual = codebook.quantize(values)
+        actual = codebook.quantize(values)
         assert np.array_equal(actual, expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(
         seed=st.integers(0, 2**31 - 1),
         k=st.sampled_from([2, 4, 8, 15]),
         init=st.sampled_from(["linear", "random"]),
     )
-    def test_kmeans_codebook_matches_reference(self, backend, seed, k, init):
+    def test_kmeans_codebook_matches_reference(self, seed, k, init):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=int(rng.integers(k + 1, 600))) * 0.3
         expected = reference_kmeans(values, k, rng=seed, init=init)
-        with backend_ctx(backend):
-            actual = kmeans_codebook(values, k, rng=seed, init=init)
+        actual = kmeans_codebook(values, k, rng=seed, init=init)
         # Centroid means are count-weighted sums instead of per-member
         # pairwise means, so agreement is to float summation order.
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-8)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kmeans_discrete_values_exact(self, backend):
+    def test_kmeans_discrete_values_exact(self):
         values = np.repeat([-1.0, -0.5, 0.25, 1.0, 3.0], [7, 3, 11, 2, 5])
         expected = reference_kmeans(values, 3, rng=0)
-        with backend_ctx(backend):
-            actual = kmeans_codebook(values, 3, rng=0)
+        actual = kmeans_codebook(values, 3, rng=0)
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
 
@@ -428,7 +380,6 @@ class TestVectorizedPruningParity:
 
 
 class TestVectorizedCycleModelParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -437,29 +388,26 @@ class TestVectorizedCycleModelParity:
         depth=st.sampled_from([1, 2, 3, 8, 16, 33, 64, 500]),
     )
     def test_single_matches_reference_recurrence(
-        self, backend, seed, num_pes, broadcasts, depth
+        self, seed, num_pes, broadcasts, depth
     ):
         rng = np.random.default_rng(seed)
         work = rng.poisson(1.5, size=(num_pes, broadcasts)).astype(np.int64)
-        stats = simulate_layer_cycles(work, fifo_depth=depth, backend=backend)
+        stats = simulate_layer_cycles(work, fifo_depth=depth)
         assert stats.total_cycles == reference_simulate_total_cycles(work, depth)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @SETTINGS
     @given(
         seed=st.integers(0, 2**31 - 1),
         depth=st.sampled_from([1, 2, 8, 32]),
     )
-    def test_batch_matches_single_item_by_item(self, backend, seed, depth):
+    def test_batch_matches_single_item_by_item(self, seed, depth):
         rng = np.random.default_rng(seed)
         num_pes = int(rng.integers(1, 9))
         works = [
             rng.poisson(1.5, size=(num_pes, int(rng.integers(0, 70)))).astype(np.int64)
             for _ in range(int(rng.integers(1, 9)))
         ]
-        batch_stats = simulate_layer_cycles_batch(
-            works, fifo_depth=depth, backend=backend
-        )
+        batch_stats = simulate_layer_cycles_batch(works, fifo_depth=depth)
         for work, stats in zip(works, batch_stats):
             single = simulate_layer_cycles(work, fifo_depth=depth)
             assert stats.total_cycles == single.total_cycles

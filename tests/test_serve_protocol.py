@@ -403,7 +403,9 @@ class TestHealthDeadlineAndChaosVerbs:
             model, scenario, policy=BatchPolicy(max_batch=8, max_wait_us=30_000.0)
         )
 
-    def test_invalid_deadline_is_a_bad_request(self, model):
+    @pytest.mark.parametrize("deadline_s", [-2.0, float("nan"), float("inf"), True])
+    def test_invalid_deadline_is_a_bad_request(self, model, deadline_s):
+        # json.dumps writes NaN / Infinity, which json.loads reads back.
         async def scenario(client, server):
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", client._writer.get_extra_info("peername")[1]
@@ -414,7 +416,7 @@ class TestHealthDeadlineAndChaosVerbs:
                         {
                             "id": 1, "op": "infer", "model": model.name,
                             "input": [0.0] * model.input_size,
-                            "deadline_s": -2.0,
+                            "deadline_s": deadline_s,
                         }
                     ).encode()
                     + b"\n"

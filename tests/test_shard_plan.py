@@ -50,6 +50,19 @@ class TestShardRanges:
         with pytest.raises(ShardCoordinateError):
             shard_ranges(4, 0)
 
+    def test_process_executor_clamp_covers_without_overlap(self):
+        # The process executor asks for max(1, min(jobs, count)) parts.
+        for count in (1, 2, 5, 8, 13):
+            for parts in (1, 2, 3, 4, 16):
+                chunks = shard_ranges(count, max(1, min(parts, count)))
+                flat = [index for chunk in chunks for index in chunk]
+                assert flat == list(range(count))
+                assert len(chunks) == min(parts, count)
+
+    def test_process_executor_clamp_near_equal_sizes(self):
+        sizes = [len(chunk) for chunk in shard_ranges(10, max(1, min(4, 10)))]
+        assert sizes == [3, 3, 2, 2]
+
 
 class TestValidateCoords:
     def test_valid_coordinates_pass(self):

@@ -66,6 +66,13 @@ class TestMergeResults:
         with pytest.raises(ValueError):
             merge_results(path, [_result("x", 1.0)], mode="quick")
 
+    def test_entry_metadata_records_environment(self, tmp_path):
+        path = tmp_path / "bench.json"
+        data = merge_results(path, [_result("simulate", 0.01)], "quick")
+        entry = data["entries"]["quick/simulate"]
+        assert entry["cpu_count"] >= 1
+        assert "machine" in entry
+
 
 class TestCheckAgainstBaseline:
     def test_flags_regressions_beyond_threshold(self, tmp_path):
