@@ -86,18 +86,18 @@ def _expand_streams(
     return values, runs, ends
 
 
-def _stable_order_by_pe(pes: np.ndarray, num_pes: int) -> np.ndarray:
-    """Stable counting (radix) sort order of the entries by owning PE.
+def _stable_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """Stable counting (radix) sort order of entries by a small integer key.
 
-    Both interleaved encode paths rest on the same invariant: the input is in
-    column-major order with rows ascending, so a *stable* sort on the PE id
-    alone leaves every PE's entries grouped by (column, local row) — exactly
-    each slice's storage order.  PE ids are downcast to uint16 when possible
-    because NumPy only uses the O(n) radix sort for small integer dtypes.
+    A *stable* sort on one key (the column, or the owning PE) keeps the
+    entries' prior order within each key, which is how every encode and
+    decode path keeps rows ascending within a group.  Keys are downcast to
+    uint16 when possible because NumPy only uses the O(n) radix sort for
+    small integer dtypes.
     """
-    if num_pes <= 2**16:
-        return np.argsort(pes.astype(np.uint16), kind="stable")
-    return np.argsort(pes, kind="stable")
+    if num_keys <= 2**16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
 
 
 def _shifted(values: np.ndarray) -> np.ndarray:
@@ -165,11 +165,7 @@ def decode_column(
     if values.size == 0:
         return column
     positions = _encoded_positions(runs)
-    if positions[-1] >= length:
-        overrun = positions[np.searchsorted(positions, length)]
-        raise EncodingError(
-            f"encoded column overruns its dense length {length} (position {overrun})"
-        )
+    _check_no_overrun(positions, length)
     column[positions] = values
     return column
 
@@ -178,6 +174,20 @@ def _encoded_positions(runs: np.ndarray) -> np.ndarray:
     """Dense row positions implied by a run-length stream."""
     runs = np.asarray(runs, dtype=np.int64)
     return np.cumsum(runs + 1) - 1
+
+
+def _group_positions(runs: np.ndarray, group_ptr: np.ndarray) -> np.ndarray:
+    """Row position of every entry within its group (column or PE slice column).
+
+    ``group_ptr`` holds the offsets of consecutive groups in the run stream;
+    one cumulative sum over the whole stream, rebased at every group start,
+    replaces a per-group decode.
+    """
+    running = np.cumsum(runs + 1)
+    # Offset of the stream before each group's first entry, so the global
+    # cumulative sum restarts at every group boundary.
+    group_base = np.concatenate([[0], running])[group_ptr[:-1]]
+    return running - 1 - np.repeat(group_base, np.diff(group_ptr))
 
 
 def _sparse_from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,10 +209,7 @@ def _sparse_from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         rows, columns = np.divmod(flat, np.int32(num_cols))
     else:
         rows, columns = np.divmod(flat, num_cols)
-    if num_cols <= 2**16:
-        order = np.argsort(columns.astype(np.uint16), kind="stable")
-    else:
-        order = np.argsort(columns, kind="stable")
+    order = _stable_order(columns, num_cols)
     columns = columns[order]
     rows = rows[order]
     values = dense_flat[flat[order].astype(np.intp)]
@@ -358,20 +365,11 @@ class CSCMatrix:
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.float64)
         if self.values.size == 0:
             return dense
-        counts = np.diff(self.col_ptr)
-        steps = self.runs + 1
-        running = np.cumsum(steps)
-        # Offset of the entry stream before each column's first entry, so the
-        # global cumulative sum restarts at every column boundary.
-        column_base = np.concatenate([[0], running])[self.col_ptr[:-1]]
-        positions = running - 1 - np.repeat(column_base, counts)
-        if positions.size and positions.max() >= self.num_rows:
-            overrun = positions[np.argmax(positions >= self.num_rows)]
-            raise EncodingError(
-                f"encoded column overruns its dense length {self.num_rows} "
-                f"(position {overrun})"
-            )
-        entry_columns = np.repeat(np.arange(self.num_cols, dtype=np.int64), counts)
+        positions = _group_positions(self.runs, self.col_ptr)
+        _check_no_overrun(positions, self.num_rows)
+        entry_columns = np.repeat(
+            np.arange(self.num_cols, dtype=np.int64), np.diff(self.col_ptr)
+        )
         dense[positions, entry_columns] = self.values
         return dense
 
@@ -431,7 +429,7 @@ class InterleavedCSC:
 
         if columns.size:
             local_rows, pes = np.divmod(rows, rows.dtype.type(num_pes))
-            order = _stable_order_by_pe(pes, num_pes)
+            order = _stable_order(pes, num_pes)
             sorted_pes = pes[order]
             sorted_columns = columns[order]
             sorted_locals = local_rows[order]
@@ -527,22 +525,20 @@ class InterleavedCSC:
     def _padding_per_pe_column(self) -> np.ndarray:
         counts = self._entries_per_pe_column
         padding = np.zeros_like(counts)
-        values = (
-            np.concatenate([matrix.values for matrix in self.per_pe])
-            if self.per_pe
-            else np.empty(0)
-        )
-        is_padding = values == 0.0
+        is_padding = self.streams()[0] == 0.0
         if is_padding.any():
-            group_ids = np.repeat(
-                np.arange(self.num_pes * self.num_cols, dtype=np.int64),
-                counts.reshape(-1),
-            )
-            padding = np.bincount(
-                group_ids[is_padding], minlength=self.num_pes * self.num_cols
-            ).reshape(self.num_pes, self.num_cols)
+            group_ids = np.repeat(np.arange(counts.size), counts.reshape(-1))
+            padding = np.bincount(group_ids[is_padding], minlength=counts.size)
+            padding = padding.reshape(counts.shape)
         padding.flags.writeable = False
         return padding
+
+    def streams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(values, runs)`` streams of all PEs, concatenated PE-major."""
+        return (
+            np.concatenate([matrix.values for matrix in self.per_pe]),
+            np.concatenate([matrix.runs for matrix in self.per_pe]),
+        )
 
     def padding_per_pe_column(self) -> np.ndarray:
         """Padding-zero entries per (PE, column), computed once and cached.
@@ -551,6 +547,36 @@ class InterleavedCSC:
         one bincount over flat (PE, column) ids covering every stored entry.
         """
         return self._padding_per_pe_column
+
+    @cached_property
+    def entry_listing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(global rows, columns, values)`` of every stored entry, built once.
+
+        Padding zeros are included (value 0; codebook index 0 in a compressed
+        layer).  Entries are sorted by column, each column keeping the
+        PE-major, local-row-ascending storage order.  The per-PE streams are
+        decoded together: their concatenation is one run stream split into
+        (PE, column) groups, so one rebased cumulative sum gives every
+        entry's local row.  The arrays are read-only.
+        """
+        counts = self._entries_per_pe_column
+        group_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts.reshape(-1), out=group_ptr[1:])
+        values, runs = self.streams()
+        local_rows = _group_positions(runs, group_ptr)
+        pes, columns = np.divmod(
+            np.repeat(np.arange(counts.size, dtype=np.int64), counts.reshape(-1)),
+            self.num_cols,
+        )
+        rows = local_rows * self.num_pes + pes
+        # A PE's local row overruns its slice exactly when the global row
+        # overruns the matrix.
+        _check_no_overrun(rows, self.num_rows)
+        order = _stable_order(columns, self.num_cols)
+        listing = rows[order], columns[order], values[order]
+        for array in listing:
+            array.flags.writeable = False
+        return listing
 
     def invalidate_caches(self) -> None:
         """Drop every cached derived quantity (forces recomputation).
@@ -563,6 +589,7 @@ class InterleavedCSC:
             "padding_fraction",
             "_entries_per_pe_column",
             "_padding_per_pe_column",
+            "entry_listing",
         ):
             self.__dict__.pop(name, None)
 
@@ -573,14 +600,23 @@ class InterleavedCSC:
     def to_dense(self) -> np.ndarray:
         """Decode the distributed representation back into one dense matrix."""
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.float64)
-        for pe, matrix in enumerate(self.per_pe):
-            dense[pe::self.num_pes, :] = matrix.to_dense()
+        rows, columns, values = self.entry_listing
+        dense[rows, columns] = values
         return dense
 
     def storage_bits(self, value_bits: int = 4, index_bits: int = 4, pointer_bits: int = 16) -> int:
         """Total storage across all PEs."""
         return sum(
             matrix.storage_bits(value_bits, index_bits, pointer_bits) for matrix in self.per_pe
+        )
+
+
+def _check_no_overrun(positions: np.ndarray, length: int) -> None:
+    """Raise if a decoded row position falls outside the dense length."""
+    if positions.size and positions.max() >= length:
+        overrun = positions[np.argmax(positions >= length)]
+        raise EncodingError(
+            f"encoded column overruns its dense length {length} (position {overrun})"
         )
 
 
@@ -655,7 +691,7 @@ def interleaved_entry_counts(
     # one stable counting (radix) sort on the PE id leaves the entries
     # grouped by (PE, column) with local rows still ascending — much cheaper
     # than a two-key lexsort of the full index set.
-    order = _stable_order_by_pe(pes, num_pes)
+    order = _stable_order(pes, num_pes)
     sorted_locals = locals_[order]
     # Group starts in the sorted entry order come straight from the group
     # sizes (the sorted group ids are exactly 0..P*C-1 in ascending order),

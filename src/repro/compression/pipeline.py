@@ -179,12 +179,15 @@ class CompressedLayer:
 
         The decoded matrix is cached (read-only) after the first call: the
         model layer re-reads it on every ``run_model`` propagation step, and
-        the storage/codebook never change after construction.
+        the storage/codebook never change after construction.  The shared
+        weights are scattered straight from the storage's entry listing;
+        every unstored cell holds the reserved zero entry.
         """
         cached = getattr(self, "_dense_weights", None)
         if cached is None:
-            indices = self.storage.to_dense().astype(np.int64)
-            cached = self.codebook.dequantize(indices)
+            rows, columns, indices = self.storage.entry_listing
+            cached = np.full(self.shape, self.codebook.centroids[self.codebook.zero_index])
+            cached[rows, columns] = self.codebook.dequantize(indices)
             cached.setflags(write=False)
             self._dense_weights = cached
         return cached
@@ -224,14 +227,8 @@ class CompressedLayer:
         total_bits += sum(
             (matrix.col_ptr.shape[0]) * pointer_bits for matrix in self.storage.per_pe
         )
-        per_pe = self.storage.per_pe
-        streams = (
-            [np.concatenate([m.values for m in per_pe]).astype(np.int64),
-             np.concatenate([m.runs for m in per_pe])]
-            if per_pe
-            else []
-        )
-        for stream in streams:
+        values, runs = self.storage.streams()
+        for stream in (values.astype(np.int64), runs):
             distinct, counts = HuffmanCode._symbol_counts(stream)
             if not distinct:
                 continue

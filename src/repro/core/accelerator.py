@@ -14,7 +14,7 @@ from a dense weight matrix to EIE performance and energy numbers:
 
 All simulation goes through the :mod:`repro.engine` seam: the facade owns a
 :class:`~repro.engine.session.Session`, so repeated calls on the same layer
-reuse the cached compressed form, the prepared PE array of the
+reuse the cached compressed form, the prepared entry listing of the
 ``"functional"`` engine and the prepared work matrices of the ``"cycle"``
 engine instead of rebuilding them per call.
 """
@@ -156,8 +156,8 @@ class EIEAccelerator:
     def run_batch(self, activations: np.ndarray) -> np.ndarray:
         """Feed a ``(batch, n_in)`` activation matrix through all layers.
 
-        Each row is one independent inference; every layer's prepared PE
-        array is built once (session cache) and reused across the batch.
+        Each row is one independent inference; every layer's prepared entry
+        listing is built once (session cache) and reused across the batch.
         Returns the ``(batch, n_out)`` network outputs.
         """
         if not self.layers:

@@ -1,8 +1,7 @@
 """Whole-accelerator functional simulation.
 
-:class:`FunctionalEIE` wires a :class:`~repro.core.ccu.CentralControlUnit`
-and one :class:`~repro.core.pe.ProcessingElement` per PE together and runs the
-exact computation of Equation (3) of the paper:
+:class:`FunctionalEIE` runs the exact computation of Equation (3) of the
+paper on every PE of the array at once:
 
 ``b_i = ReLU( sum_{j in X_i ∩ Y} S[I_ij] * a_j )``
 
@@ -12,22 +11,29 @@ shared-weight codebook.  The result is bit-identical (in float mode) to the
 dense reference ``ReLU(W_decoded @ a)``, which is how the simulator is
 validated in the test suite — mirroring the paper's use of Caffe as the
 golden model.
+
+A run gathers the listed entries (padding zeros included) of every
+broadcast column and accumulates ``S[I] * a_j`` with one ordered
+scatter-add.  Each output row belongs to one PE and its entries appear
+column by column, so every row sums its products in broadcast order, as
+:class:`~repro.core.pe.ProcessingElement` does one broadcast at a time.
+The access counters follow from the broadcast columns' per-(PE, column)
+entry and padding counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.compression.pipeline import CompressedLayer
-from repro.core.ccu import CentralControlUnit
 from repro.core.config import EIEConfig
-from repro.core.pe import PEAccessCounters, ProcessingElement
+from repro.core.pe import PEAccessCounters
 from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
 from repro.nn.layers import ACTIVATIONS
-from repro.utils.validation import require_vector
+from repro.utils.validation import require_matrix, require_vector
 
 __all__ = ["FunctionalResult", "FunctionalEIE"]
 
@@ -97,20 +103,30 @@ class FunctionalEIE:
             )
         self.layer = layer
         self.fixed_point = fixed_point
-        self.ccu = CentralControlUnit(self.config.num_pes)
-        self.pes = [
-            ProcessingElement(
-                pe_id=pe,
-                slice_matrix=layer.storage.per_pe[pe],
-                codebook=layer.codebook,
-                num_pes=self.config.num_pes,
-                config=self.config,
-                fixed_point=fixed_point,
+        stored = layer.storage.entries_per_pe()
+        overfull = np.flatnonzero(stored > self.config.weights_per_pe_capacity)
+        if overfull.size:
+            raise SimulationError(
+                f"PE {overfull[0]} stores {stored[overfull[0]]} entries but the "
+                f"Spmat SRAM holds only {self.config.weights_per_pe_capacity}"
             )
-            for pe in range(self.config.num_pes)
-        ]
-        for pe in self.pes:
-            pe.check_capacity()
+        weights = layer.codebook.centroids
+        if fixed_point is not None:
+            weights = fixed_point.quantize(weights)
+        self._entry_rows, _, values = layer.storage.entry_listing
+        self._entry_weights = weights[values.astype(np.intp)]
+        counts = layer.storage.entries_per_pe_column()
+        self._col_ptr = np.concatenate([[0], np.cumsum(counts.sum(axis=0))])
+        # Per-column counter sources, one row each: the entries of every PE,
+        # then the column's Spmat reads, empty (skipped) PE slices and padding.
+        self._column_counters = np.vstack(
+            [
+                counts,
+                (-(-counts // self.config.entries_per_spmat_read)).sum(axis=0),
+                (counts == 0).sum(axis=0),
+                layer.storage.padding_per_pe_column().sum(axis=0),
+            ]
+        )
 
     # -- execution --------------------------------------------------------------
 
@@ -123,46 +139,96 @@ class FunctionalEIE:
             apply_nonlinearity: whether to apply the layer's non-linearity
                 (ReLU for the CNN benchmarks) to the accumulated outputs.
         """
-        activations = np.asarray(require_vector("activations", activations), dtype=np.float64)
-        if activations.shape[0] != self.layer.cols:
+        activations = require_vector("activations", activations)
+        return self.run_batch(activations[np.newaxis, :], apply_nonlinearity)[0]
+
+    def run_batch(
+        self, activations: np.ndarray, apply_nonlinearity: bool = True
+    ) -> tuple[FunctionalResult, ...]:
+        """Run every row of a ``(batch, layer.cols)`` matrix; one result each.
+
+        Each result equals :meth:`run` on that row, bit for bit.
+        """
+        matrix = np.asarray(require_matrix("activations", activations), dtype=np.float64)
+        if matrix.shape[1] != self.layer.cols:
             raise SimulationError(
-                f"activation length {activations.shape[0]} does not match layer "
+                f"activation length {matrix.shape[1]} does not match layer "
                 f"input size {self.layer.cols}"
             )
         if self.fixed_point is not None:
-            activations = self.fixed_point.quantize(activations)
-        for pe in self.pes:
-            pe.reset()
-        self.ccu.enter_computing_mode()
-        schedule = self.ccu.broadcast_schedule(activations)
-        for entry in schedule:
-            for pe in self.pes:
-                pe.process_activation(entry.column, entry.value)
-        self.ccu.finish_layer()
-        pre_activation = self._collect_outputs()
-        if apply_nonlinearity:
-            nonlinearity = ACTIVATIONS[self.layer.activation_name]
-            output = nonlinearity(pre_activation)
+            matrix = self.fixed_point.quantize(matrix)
+        # Broadcasts item by item, columns ascending: the LNZD schedule.
+        items, columns = np.nonzero(matrix)
+        if self.fixed_point is None:
+            pre_activation = self._accumulate(matrix, items, columns)
         else:
-            output = pre_activation.copy()
-        counters = PEAccessCounters()
-        for pe in self.pes:
-            counters = counters.merge(pe.counters)
-        per_pe_entries = np.asarray(
-            [pe.counters.entries_processed for pe in self.pes], dtype=np.int64
-        )
-        return FunctionalResult(
-            output=output,
-            pre_activation=pre_activation,
-            broadcasts=len(schedule),
-            columns_total=activations.shape[0],
-            counters=counters,
-            per_pe_entries=per_pe_entries,
-        )
+            pre_activation = self._accumulate_fixed_point(matrix, columns)
+        # Per-item sums of the broadcast columns' counters: one gather, one
+        # cumulative sum, differenced at the item boundaries.
+        bounds = np.searchsorted(items, np.arange(matrix.shape[0] + 1))
+        running = np.zeros((self._column_counters.shape[0], columns.shape[0] + 1), np.int64)
+        np.cumsum(self._column_counters[:, columns], axis=1, out=running[:, 1:])
+        totals = (running[:, bounds[1:]] - running[:, bounds[:-1]]).T
+        num_pes = self.config.num_pes
+        nonlinearity = ACTIVATIONS[self.layer.activation_name]
+        results = []
+        for row, broadcasts, item_totals in zip(pre_activation, np.diff(bounds).tolist(), totals):
+            entries = int(item_totals[:num_pes].sum())
+            spmat_reads, skipped, padding = item_totals[num_pes:].tolist()
+            counters = PEAccessCounters(
+                ptr_sram_reads=2 * broadcasts * num_pes,
+                spmat_sram_reads=spmat_reads,
+                act_reg_reads=entries,
+                act_reg_writes=entries,
+                codebook_lookups=entries,
+                macs=entries,
+                entries_processed=entries,
+                padding_entries_processed=padding,
+                columns_skipped=skipped,
+            )
+            results.append(
+                FunctionalResult(
+                    output=nonlinearity(row) if apply_nonlinearity else row.copy(),
+                    pre_activation=row,
+                    broadcasts=broadcasts,
+                    columns_total=matrix.shape[1],
+                    counters=counters,
+                    per_pe_entries=item_totals[:num_pes].copy(),
+                )
+            )
+        return tuple(results)
 
-    def _collect_outputs(self) -> np.ndarray:
-        """Gather the per-PE accumulators into the dense output vector."""
-        output = np.zeros(self.layer.rows, dtype=np.float64)
-        for pe in self.pes:
-            output[pe.global_output_indices()] = pe.read_outputs()
-        return output
+    def _accumulate(
+        self, matrix: np.ndarray, items: np.ndarray, columns: np.ndarray
+    ) -> np.ndarray:
+        """Float path: one ordered scatter-add over the whole batch."""
+        batch, rows = matrix.shape[0], self.layer.rows
+        # Listing positions of every entry of the broadcast columns.
+        starts = self._col_ptr[columns]
+        lengths = self._col_ptr[columns + 1] - starts
+        entries = np.arange(int(lengths.sum())) + np.repeat(
+            starts - (np.cumsum(lengths) - lengths), lengths
+        )
+        values = np.repeat(matrix[items, columns], lengths)
+        targets = np.repeat(items * rows, lengths) + self._entry_rows[entries]
+        output = np.zeros(batch * rows, dtype=np.float64)
+        np.add.at(output, targets, self._entry_weights[entries] * values)
+        return output.reshape(batch, rows)
+
+    def _accumulate_fixed_point(self, matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Fixed-point path: one broadcast column at a time.
+
+        The accumulators are re-quantised after every column, so columns run
+        in order; each step is vectorised over the PEs and the batch items
+        that broadcast the column.
+        """
+        fmt = self.fixed_point
+        accumulators = np.zeros((matrix.shape[0], self.layer.rows), dtype=np.float64)
+        for column in np.unique(columns).tolist():
+            span = slice(self._col_ptr[column], self._col_ptr[column + 1])
+            items = np.flatnonzero(matrix[:, column])
+            cells = np.ix_(items, self._entry_rows[span])
+            weights = self._entry_weights[span]
+            products = fmt.quantize(weights * matrix[items, column, np.newaxis])
+            accumulators[cells] = fmt.quantize(accumulators[cells] + products)
+        return accumulators

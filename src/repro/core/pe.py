@@ -17,7 +17,10 @@ activation ``a_j`` with its column index ``j``, the PE:
 
 This class is the *functional* model: it performs the exact arithmetic and
 counts the memory accesses, but does not model timing (see
-:mod:`repro.core.cycle_model` for that).
+:mod:`repro.core.cycle_model` for that).  The array-level
+:class:`~repro.core.functional.FunctionalEIE` computes the same values and
+counters for all PEs at once; the test suite replays this per-PE walk as
+its oracle.
 """
 
 from __future__ import annotations

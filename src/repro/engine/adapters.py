@@ -1,12 +1,13 @@
-"""The built-in backends: legacy simulators refactored behind the seam.
+"""The built-in backends: the core simulators behind the seam.
 
-Each adapter wraps one of the pre-existing simulators so its results stay
-bit-for-bit identical to direct use of the legacy class (the parity test
-suite pins this):
+Each adapter wraps one core simulator so its results stay bit-for-bit
+identical to direct use of that class (the parity test suite pins this):
 
 * :class:`FunctionalEngine` — wraps
-  :class:`~repro.core.functional.FunctionalEIE`.  ``prepare`` builds the PE
-  array once; ``run`` executes each batch row through it.
+  :class:`~repro.core.functional.FunctionalEIE`.  ``prepare`` lists the
+  layer's entries with their shared weights once; ``run`` accumulates a whole
+  batch with one ordered scatter-add and derives the access counters from
+  the per-(PE, column) entry counts.
 * :class:`CycleEngine` — wraps the timing kernel behind
   :class:`~repro.core.cycle_model.CycleAccurateEIE`.  ``prepare`` extracts
   the per-(PE, column) work/padding matrices once per layer; a batched
@@ -59,9 +60,9 @@ def _require_compressed_layer(engine_name: str, layer: object) -> CompressedLaye
 class FunctionalEngine(SimulationEngine):
     """Bit-exact value simulation behind the engine seam.
 
-    ``prepare`` constructs the :class:`FunctionalEIE` array (CCU, PEs,
-    capacity checks) once; every ``run`` reuses it, so multi-vector and
-    multi-call workloads no longer pay the array construction per inference.
+    ``prepare`` constructs the :class:`FunctionalEIE` simulator (capacity
+    check, per-entry weights, per-column counter sources) once; every ``run``
+    executes its whole batch through :meth:`FunctionalEIE.run_batch`.
     """
 
     name = "functional"
@@ -97,7 +98,7 @@ class FunctionalEngine(SimulationEngine):
             raise SimulationError(f"engine {self.name!r} requires an activation vector or batch")
         matrix, batched = self._as_batch(prepared, activations)
         simulator: FunctionalEIE = prepared.payload
-        results = tuple(simulator.run(row) for row in matrix)
+        results = simulator.run_batch(matrix)
         outputs = np.stack([result.output for result in results])
         return EngineResult(
             engine=self.name,

@@ -171,7 +171,7 @@ class SimulationEngine(abc.ABC):
     def _as_batch(
         self, prepared: PreparedLayer, activations: np.ndarray
     ) -> tuple[np.ndarray, bool]:
-        """Normalise ``activations`` to ``(batch, n_in)`` float64.
+        """Normalise ``activations`` to ``(batch, n_in)`` finite float64.
 
         Returns the matrix and whether the input was already batched.
         """
@@ -192,4 +192,6 @@ class SimulationEngine(abc.ABC):
             )
         if matrix.shape[0] == 0:
             raise SimulationError("activation batch must contain at least one vector")
+        if not np.isfinite(matrix).all():
+            raise SimulationError("activations must be finite (got NaN or infinity)")
         return matrix, batched

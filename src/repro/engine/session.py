@@ -87,8 +87,8 @@ class Session:
 
     Each cache is a bounded LRU (least recently *used*, not inserted):
     compressed layers and the per-layer prepared state can pin substantial
-    memory (PE arrays, work matrices), so a long-lived session sweeping many
-    distinct layers evicts the coldest entries instead of growing forever.
+    memory (entry listings, work matrices), so a long-lived session sweeping
+    many distinct layers evicts the coldest entries instead of growing forever.
     Eviction is always safe — it only drops the cache's own reference; a
     subsequent request recompresses/re-prepares.
 

@@ -47,7 +47,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.csc import InterleavedCSC
+from repro.compression.csc import InterleavedCSC, _group_positions
 from repro.compression.pipeline import CompressedLayer
 from repro.compression.quantization import WeightCodebook
 from repro.errors import ConfigurationError
@@ -294,15 +294,11 @@ def _decide_word_fate(
 
 def _spmat_fields(layer: CompressedLayer) -> np.ndarray:
     """The spmat entry stream as alternating (index, run) integer fields."""
-    parts: list[np.ndarray] = []
-    for matrix in layer.storage.per_pe:
-        fields = np.empty(2 * matrix.num_entries, dtype=np.int64)
-        fields[0::2] = matrix.values.astype(np.int64)
-        fields[1::2] = matrix.runs
-        parts.append(fields)
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+    values, runs = layer.storage.streams()
+    fields = np.empty(2 * values.size, dtype=np.int64)
+    fields[0::2] = values.astype(np.int64)
+    fields[1::2] = runs
+    return fields
 
 
 def _ptr_fields(layer: CompressedLayer) -> np.ndarray:
@@ -325,33 +321,6 @@ def _codebook_dequantize(field_value: int, scale: float) -> float:
     return signed * scale / _CODEBOOK_FULL_SCALE
 
 
-def _tolerant_dense_indices(
-    values: np.ndarray,
-    runs: np.ndarray,
-    col_ptr: np.ndarray,
-    num_rows: int,
-    num_cols: int,
-) -> np.ndarray:
-    """Decode possibly-inconsistent streams into a dense index matrix.
-
-    Mirrors :meth:`CSCMatrix.to_dense` but *drops* entries whose decoded
-    position falls outside the PE's row space instead of raising — the
-    hardware would simply stream past the end of the column.
-    """
-    dense = np.zeros((num_rows, num_cols), dtype=np.int64)
-    if values.size == 0:
-        return dense
-    counts = np.diff(col_ptr)
-    steps = runs + 1
-    running = np.cumsum(steps)
-    column_base = np.concatenate([[0], running])[col_ptr[:-1]]
-    positions = running - 1 - np.repeat(column_base, counts)
-    entry_columns = np.repeat(np.arange(num_cols, dtype=np.int64), counts)
-    keep = positions < num_rows
-    dense[positions[keep], entry_columns[keep]] = values[keep]
-    return dense
-
-
 def _rebuild_storage(
     layer: CompressedLayer,
     spmat_bits: np.ndarray,
@@ -366,27 +335,31 @@ def _rebuild_storage(
     fields = _unpack_fields(spmat_bits, index_bits)
     pointers = _unpack_fields(ptr_bits, config.pointer_bits)
 
+    # The PE slices form one entry stream and one pointer region.
+    entries = storage.entries_per_pe()
+    total = int(entries.sum())
+    values = np.minimum(fields[0 : 2 * total : 2], max_index)
+    runs = np.minimum(fields[1 : 2 * total : 2], max_run)
+    col_ptrs = pointers[: storage.num_pes * (storage.num_cols + 1)]
+    col_ptrs = np.clip(col_ptrs.reshape(storage.num_pes, -1), 0, entries[:, np.newaxis])
+    # Hardware-style tolerance: clamp into range, force monotone, pin
+    # the endpoints the controller derives from the entry count.
+    np.maximum.accumulate(col_ptrs, axis=1, out=col_ptrs)
+    col_ptrs[:, 0] = 0
+    col_ptrs[:, -1] = entries
+    np.maximum.accumulate(col_ptrs, axis=1, out=col_ptrs)
+    starts = np.cumsum(entries) - entries
+    group_ptr = np.append((col_ptrs[:, :-1] + starts[:, np.newaxis]).ravel(), total)
+    local_rows = _group_positions(runs, group_ptr)
+    pes, columns = np.divmod(
+        np.repeat(np.arange(group_ptr.size - 1), np.diff(group_ptr)), storage.num_cols
+    )
+    # An entry decoded past its PE's row space is dropped, not an error:
+    # the hardware would simply stream past the end of the column.
+    rows = local_rows * storage.num_pes + pes
+    keep = rows < storage.num_rows
     dense_indices = np.zeros((storage.num_rows, storage.num_cols), dtype=np.int64)
-    entry_cursor = 0
-    ptr_cursor = 0
-    for pe, matrix in enumerate(storage.per_pe):
-        pe_fields = fields[2 * entry_cursor : 2 * (entry_cursor + matrix.num_entries)]
-        entry_cursor += matrix.num_entries
-        values = np.minimum(pe_fields[0::2], max_index)
-        runs = np.minimum(pe_fields[1::2], max_run)
-        col_ptr = pointers[ptr_cursor : ptr_cursor + storage.num_cols + 1].copy()
-        ptr_cursor += storage.num_cols + 1
-        # Hardware-style tolerance: clamp into range, force monotone, pin
-        # the endpoints the controller derives from the entry count.
-        np.clip(col_ptr, 0, matrix.num_entries, out=col_ptr)
-        np.maximum.accumulate(col_ptr, out=col_ptr)
-        col_ptr[0] = 0
-        col_ptr[-1] = matrix.num_entries
-        np.maximum.accumulate(col_ptr, out=col_ptr)
-        local = _tolerant_dense_indices(
-            values, runs, col_ptr, matrix.num_rows, storage.num_cols
-        )
-        dense_indices[pe :: storage.num_pes, :] = local
+    dense_indices[rows[keep], columns[keep]] = values[keep]
     return InterleavedCSC.from_dense(
         dense_indices.astype(np.float64), num_pes=storage.num_pes, max_run=max_run
     )

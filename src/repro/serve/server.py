@@ -339,6 +339,10 @@ class Server:
                 f"request for {model!r} must be one vector of length "
                 f"{state.ir.input_size}, got shape {row.shape}"
             )
+        # Checked per request: a NaN or infinity would otherwise fail the
+        # whole batch this request joins.
+        if not np.isfinite(row).all():
+            raise ServeError(f"request for {model!r} has a non-finite input (NaN or infinity)")
         if state.queue.qsize() >= state.policy.queue_depth:
             state.stats["rejected"] += 1
             retry_after = max(state.queue.qsize() * state.ema_item_s, 1e-3)

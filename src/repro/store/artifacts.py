@@ -399,16 +399,7 @@ class ArtifactStore:
         layer: CompressedLayer,
     ) -> Path:
         per_pe = layer.storage.per_pe
-        values = (
-            np.concatenate([matrix.values for matrix in per_pe])
-            if per_pe
-            else np.empty(0, dtype=np.float64)
-        )
-        runs = (
-            np.concatenate([matrix.runs for matrix in per_pe])
-            if per_pe
-            else np.empty(0, dtype=np.int64)
-        )
+        values, runs = layer.storage.streams()
         # The value stream holds codebook indices (integral, small); the run
         # stream is bounded by max_run.  Both downcast losslessly to uint16
         # in every real configuration, which keeps entries compact — float64

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.compression.csc import (
     CSCMatrix,
@@ -12,6 +14,8 @@ from repro.compression.csc import (
     encode_column,
     interleaved_entry_counts,
 )
+from repro.compression.pipeline import CompressedLayer
+from repro.compression.quantization import WeightCodebook
 from repro.errors import EncodingError
 
 
@@ -175,6 +179,59 @@ class TestInterleavedCSC:
     def test_invalid_num_pes_rejected(self, sparse_weights):
         with pytest.raises(EncodingError):
             InterleavedCSC.from_dense(sparse_weights, num_pes=0)
+
+
+class TestEntryListing:
+    """The cached entry listing behind ``to_dense`` and ``dense_weights``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(0, 120),
+        cols=st.integers(0, 12),
+        num_pes=st.sampled_from((1, 2, 3, 4, 8, 32)),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(rows=0, cols=5, num_pes=4, density=0.5, seed=0)  # empty: no rows
+    @example(rows=7, cols=3, num_pes=4, density=0.0, seed=0)  # empty: all zeros
+    @example(rows=5, cols=4, num_pes=32, density=0.6, seed=1)  # idle PEs
+    @example(rows=120, cols=6, num_pes=1, density=0.02, seed=2)  # padding-heavy
+    def test_listing_matches_per_pe_decode(self, rows, cols, num_pes, density, seed):
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(1, 16, size=(rows, cols)).astype(np.float64)
+        indices[rng.random((rows, cols)) >= density] = 0.0
+        storage = InterleavedCSC.from_dense(indices, num_pes=num_pes)
+
+        per_pe = np.zeros((rows, cols))
+        for pe, matrix in enumerate(storage.per_pe):
+            per_pe[pe::num_pes] = matrix.to_dense()
+        assert np.array_equal(storage.to_dense(), per_pe)
+
+        listing_rows, listing_columns, _ = storage.entry_listing
+        assert listing_rows.shape[0] == storage.num_entries
+        assert np.array_equal(
+            np.bincount(listing_columns, minlength=cols),
+            storage.entries_per_pe_column().sum(axis=0),
+        )
+        assert np.all(np.diff(listing_columns) >= 0)
+
+        codebook = WeightCodebook(centroids=np.concatenate([[0.0], rng.normal(size=15)]))
+        layer = CompressedLayer(
+            name="listing", shape=(rows, cols), codebook=codebook, storage=storage,
+            num_pes=num_pes,
+        )
+        expected = codebook.dequantize(storage.to_dense().astype(np.int64))
+        assert np.array_equal(layer.dense_weights().view(np.int64), expected.view(np.int64))
+
+        assert "entry_listing" in storage.__dict__
+        storage.invalidate_caches()
+        assert "entry_listing" not in storage.__dict__
+
+    def test_overrun_is_an_encoding_error(self):
+        storage = InterleavedCSC.from_dense(np.eye(4), num_pes=2)
+        storage.per_pe[1].runs[-1] += 1
+        with pytest.raises(EncodingError, match="overruns"):
+            storage.to_dense()
 
 
 class TestInterleavedEntryCounts:

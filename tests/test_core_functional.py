@@ -64,6 +64,14 @@ class TestFunctionalEIE:
         with pytest.raises(SimulationError):
             FunctionalEIE(compressed_layer, EIEConfig(num_pes=8))
 
+    def test_overfull_pe_rejected(self, compressed_layer):
+        stored = compressed_layer.storage.entries_per_pe()
+        # A Spmat SRAM one entry short of the fullest PE's slice.
+        tight = EIEConfig(num_pes=4, spmat_sram_kb=(stored.max() - 1) / 1024)
+        with pytest.raises(SimulationError, match=f"PE {int(stored.argmax())} stores"):
+            FunctionalEIE(compressed_layer, tight)
+        FunctionalEIE(compressed_layer, EIEConfig(num_pes=4, spmat_sram_kb=stored.max() / 1024))
+
     def test_fixed_point_mode_close_to_float(self, compressed_layer, small_config, dense_activations):
         fmt = FixedPointFormat(total_bits=16, fraction_bits=8)
         float_result = FunctionalEIE(compressed_layer, small_config).run(dense_activations)

@@ -3,9 +3,10 @@
 Three families of guarantees, mirroring the paper's simulator-versus-golden
 validation flow:
 
-* the ``"functional"`` and ``"cycle"`` adapters reproduce the legacy
-  :class:`FunctionalEIE` / :class:`CycleAccurateEIE` results bit-for-bit
-  (property-tested over random sparse layers and activations);
+* the ``"functional"`` adapter reproduces the per-PE broadcast walk of
+  :mod:`functional_oracle` bit-for-bit, and the ``"cycle"`` adapter the
+  :class:`CycleAccurateEIE` results (property-tested over random sparse
+  layers and activations);
 * a batched ``run`` equals a loop of single-vector runs, element-wise;
 * the ``"rtl"`` adapter agrees with the functional values.
 """
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from functional_oracle import assert_results_identical, oracle_run
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compression.pipeline import CompressionConfig, DeepCompressor
 from repro.core.config import EIEConfig
 from repro.core.cycle_model import CycleAccurateEIE, CycleStats
-from repro.core.functional import FunctionalEIE
-from repro.engine import EngineRegistry
+from repro.engine import EngineRegistry, FunctionalEngine
+from repro.errors import SimulationError
+from repro.nn.fixed_point import FixedPointFormat
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -63,20 +66,69 @@ class TestFunctionalParity:
         layer, config, activations = case
         engine = EngineRegistry.create("functional", config)
         result = engine.run(engine.prepare(layer), activations)
-        legacy = FunctionalEIE(layer, config)
         for row, ours in zip(activations, result.functional):
-            reference = legacy.run(row)
-            assert np.array_equal(ours.output, reference.output)
-            assert np.array_equal(ours.pre_activation, reference.pre_activation)
-            assert ours.broadcasts == reference.broadcasts
-            assert ours.counters == reference.counters
-            assert np.array_equal(ours.per_pe_entries, reference.per_pe_entries)
+            assert_results_identical(ours, oracle_run(layer, config, row))
 
     def test_fixture_layer_matches(self, compressed_layer, small_config, dense_activations):
         engine = EngineRegistry.create("functional", small_config)
         result = engine.run(engine.prepare(compressed_layer), dense_activations)
-        legacy = FunctionalEIE(compressed_layer, small_config).run(dense_activations)
-        assert np.array_equal(result.output, legacy.output)
+        oracle = oracle_run(compressed_layer, small_config, dense_activations)
+        assert_results_identical(result.functional[0], oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 80),
+        cols=st.integers(1, 24),
+        num_pes=st.sampled_from((1, 2, 3, 4, 8, 16)),
+        weight_density=st.floats(0.02, 1.0),
+        activation_density=st.floats(0.0, 1.0),
+        batch=st.integers(1, 4),
+        signed=st.booleans(),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # An all-zero input broadcasts nothing.
+    @example(rows=20, cols=8, num_pes=4, weight_density=0.3, activation_density=0.0,
+             batch=2, signed=False, duplicate=False, seed=1)
+    # Negative activations.
+    @example(rows=20, cols=8, num_pes=4, weight_density=0.3, activation_density=0.8,
+             batch=2, signed=True, duplicate=False, seed=2)
+    # More PEs than rows: idle PEs own no rows at all.
+    @example(rows=3, cols=6, num_pes=16, weight_density=0.5, activation_density=0.8,
+             batch=2, signed=False, duplicate=False, seed=3)
+    # A zero run longer than 15 stores padding entries.
+    @example(rows=80, cols=4, num_pes=1, weight_density=0.02, activation_density=1.0,
+             batch=1, signed=False, duplicate=False, seed=4)
+    # Dense columns: every (PE, column) slice fills exactly one Spmat read.
+    @example(rows=16, cols=4, num_pes=2, weight_density=1.0, activation_density=1.0,
+             batch=1, signed=False, duplicate=False, seed=6)
+    # A batch whose first and last items are the same vector.
+    @example(rows=24, cols=10, num_pes=2, weight_density=0.3, activation_density=0.6,
+             batch=3, signed=True, duplicate=True, seed=5)
+    def test_vectorized_runs_match_oracle_every_field(
+        self, rows, cols, num_pes, weight_density, activation_density, batch, signed,
+        duplicate, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=(rows, cols))
+        weights[rng.random((rows, cols)) >= weight_density] = 0.0
+        weights[rows - 1, 0] = 1.0
+        layer = DeepCompressor(CompressionConfig()).compress(weights, num_pes=num_pes)
+        activations = rng.uniform(0.1, 1.0, size=(batch, cols))
+        if signed:
+            activations *= rng.choice((-1.0, 1.0), size=(batch, cols))
+        activations[rng.random((batch, cols)) >= activation_density] = 0.0
+        if duplicate:
+            activations[-1] = activations[0]
+        config = EIEConfig(num_pes=num_pes)
+        for fixed_point in (None, FixedPointFormat(total_bits=16, fraction_bits=8)):
+            engine = FunctionalEngine(config, fixed_point=fixed_point)
+            prepared = engine.prepare(layer)
+            batched = engine.run(prepared, activations)
+            for row, ours in zip(activations, batched.functional):
+                oracle = oracle_run(layer, config, row, fixed_point=fixed_point)
+                assert_results_identical(ours, oracle)
+                assert_results_identical(engine.run(prepared, row).functional[0], oracle)
 
 
 class TestCycleParity:
@@ -114,6 +166,12 @@ class TestBatchedEqualsLoop:
             single = engine.run(prepared, row)
             assert not single.batched
             assert np.array_equal(batched.outputs[index], single.output)
+            ours, alone = batched.functional[index], single.functional[0]
+            assert np.array_equal(
+                ours.pre_activation.view(np.int64), alone.pre_activation.view(np.int64)
+            )
+            assert ours.counters == alone.counters
+            assert np.array_equal(ours.per_pe_entries, alone.per_pe_entries)
 
     @SETTINGS
     @given(case=layer_and_activations())
@@ -137,6 +195,22 @@ class TestBatchedEqualsLoop:
         functional = EngineRegistry.create("functional", small_config)
         outputs = functional.run(functional.prepare(compressed_layer), batch).outputs
         assert np.array_equal(outputs[1], np.zeros(compressed_layer.rows))
+
+
+class TestNonFiniteActivations:
+    @pytest.mark.parametrize("engine_name", ["functional", "cycle", "rtl"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_with_a_typed_error(
+        self, engine_name, bad, compressed_layer, small_config, dense_activations
+    ):
+        engine = EngineRegistry.create(engine_name, small_config)
+        prepared = engine.prepare(compressed_layer)
+        vector = dense_activations.copy()
+        vector[1] = bad
+        with pytest.raises(SimulationError, match="finite"):
+            engine.run(prepared, vector)
+        with pytest.raises(SimulationError, match="finite"):
+            engine.run(prepared, np.stack([dense_activations, vector]))
 
 
 class TestRTLParity:

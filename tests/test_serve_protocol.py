@@ -431,6 +431,42 @@ class TestHealthDeadlineAndChaosVerbs:
 
         _with_daemon(model, scenario)
 
+    def test_non_finite_input_is_a_bad_request_and_spares_its_batch(self, model):
+        vector = synthetic_model_inputs(model, batch=1, seed=21)[0]
+        offline = Session(config=CONFIG).run_model("cycle", model, vector, CONFIG)
+        poisoned = vector.copy()
+        poisoned[0] = float("nan")
+
+        async def scenario(client, server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", client._writer.get_extra_info("peername")[1]
+            )
+            try:
+                # Both requests reach the daemon inside one batching window.
+                writer.write(
+                    json.dumps(
+                        {"id": 1, "op": "infer", "model": model.name,
+                         "input": poisoned.tolist()}
+                    ).encode()
+                    + b"\n"
+                )
+                await writer.drain()
+                response = await client.infer(model.name, vector)
+                payload = json.loads(await reader.readline())
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return payload, response
+
+        payload, response = _with_daemon(
+            model, scenario, policy=BatchPolicy(max_batch=8, max_wait_us=30_000.0)
+        )
+        assert payload["ok"] is False and payload["error"] == "bad_request"
+        assert "non-finite" in payload["message"]
+        assert np.array_equal(response.output, offline.outputs[0])
+        assert response.total_cycles == offline.total_cycles
+        assert response.latency_s == offline.latency_s
+
     def test_chaos_verb_is_gated_by_the_server_flag(self, model):
         async def scenario(client, server):
             with pytest.raises(ServeError, match="chaos injection is disabled"):
