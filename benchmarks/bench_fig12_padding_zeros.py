@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import series_of, write_result
 
 
 def test_fig12_padding_zero_overhead(benchmark, runner, results_dir):
@@ -20,7 +20,7 @@ def test_fig12_padding_zero_overhead(benchmark, runner, results_dir):
         runner.run, args=("fig12_padding_zeros",), rounds=1, iterations=1
     )
     write_result(results_dir, result)
-    series = result.legacy()
+    series = series_of(result, "num_pes", "real_work_fraction")
 
     for name in BENCHMARK_NAMES:
         fractions = [series[name][n] for n in sorted(series[name])]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import series_of, write_result
 
 
 def test_fig13_load_balance_vs_pes(benchmark, runner, results_dir):
@@ -22,7 +22,7 @@ def test_fig13_load_balance_vs_pes(benchmark, runner, results_dir):
         runner.run, args=("fig13_load_balance",), rounds=1, iterations=1
     )
     write_result(results_dir, result)
-    series = result.legacy()
+    series = series_of(result, "num_pes", "load_balance_efficiency")
 
     for name in BENCHMARK_NAMES:
         efficiencies = series[name]

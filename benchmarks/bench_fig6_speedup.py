@@ -11,7 +11,7 @@ only a few x.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.analysis.speedup import GEOMEAN_KEY
+from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
 from repro.baselines.reference import PAPER_EIE_SPEEDUPS, PAPER_SPEEDUP_GEOMEAN
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
@@ -21,7 +21,10 @@ from benchmarks.conftest import write_result
 def test_fig6_speedup_over_cpu(benchmark, runner, results_dir):
     """Regenerate Figure 6."""
     result = benchmark.pedantic(runner.run, args=("fig6_speedup",), rounds=1, iterations=1)
-    table = result.legacy()
+    table = {
+        record["benchmark"]: {config: record[config] for config in SPEEDUP_CONFIGS}
+        for record in result.records
+    }
     extra = "EIE speedups versus the paper (Figure 6, last group):\n"
     extra += format_table(
         ["Benchmark", "ours", "paper", "ratio"],

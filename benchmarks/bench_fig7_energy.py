@@ -9,7 +9,7 @@ hardware) only buys single-digit factors.
 
 from __future__ import annotations
 
-from repro.analysis.speedup import GEOMEAN_KEY
+from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
 from repro.baselines.reference import PAPER_ENERGY_EFFICIENCY_GEOMEAN
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
@@ -21,7 +21,10 @@ def test_fig7_energy_efficiency(benchmark, runner, results_dir):
     result = benchmark.pedantic(
         runner.run, args=("fig7_energy_efficiency",), rounds=1, iterations=1
     )
-    table = result.legacy()
+    table = {
+        record["benchmark"]: {config: record[config] for config in SPEEDUP_CONFIGS}
+        for record in result.records
+    }
     extra = (
         f"Geometric-mean EIE energy efficiency: ours = {table[GEOMEAN_KEY]['EIE']:.0f}x, "
         f"paper = {PAPER_ENERGY_EFFICIENCY_GEOMEAN['EIE']:.0f}x"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import series_of, write_result
 
 
 def test_fig8_fifo_depth_sweep(benchmark, runner, results_dir):
@@ -20,7 +20,7 @@ def test_fig8_fifo_depth_sweep(benchmark, runner, results_dir):
         runner.run, args=("fig8_fifo_depth",), rounds=1, iterations=1
     )
     write_result(results_dir, result)
-    sweep = result.legacy()
+    sweep = series_of(result, "fifo_depth", "load_balance_efficiency")
 
     for name in BENCHMARK_NAMES:
         per_depth = sweep[name]

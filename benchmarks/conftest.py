@@ -9,7 +9,8 @@ benchmark layers — is shared across all modules through a session-scoped
 one engine session), and every benchmark writes the result it regenerates to
 ``results/<experiment>.txt`` **and** ``results/<experiment>.json`` through
 :meth:`~repro.experiments.result.ExperimentResult.write` so they can be
-compared against the paper (see EXPERIMENTS.md).
+compared against the paper's published numbers
+(:mod:`repro.baselines.reference`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def results_dir() -> Path:
     """Directory the regenerated tables and figure series are written to."""
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+def series_of(result: ExperimentResult, x_key: str, y_key: str) -> dict[str, dict]:
+    """``{benchmark: {x: y}}`` over a sweep's records, in record order."""
+    out: dict[str, dict] = {}
+    for record in result.records:
+        out.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
+    return out
 
 
 def write_result(

@@ -12,11 +12,11 @@ PEs.  This example runs all four sweeps on a subset of the full-scale
 benchmarks and prints the same trade-off curves, ending with the design point
 the data selects.
 
-The sweep functions used here (`fifo_depth_sweep`, `sram_width_sweep`,
-`precision_study`, `pe_sweep`) are thin shims over the declarative
-experiments `fig8_fifo_depth`, `fig9_sram_width`, `fig10_precision` and
-`fig11_scalability` — see examples/declarative_experiments.py for driving
-the same sweeps from JSON specs with `--jobs N` concurrency.
+Each sweep is a declarative experiment (`fig8_fifo_depth`,
+`fig9_sram_width`, `fig10_precision`, `fig11_scalability`) run through one
+shared `ExperimentRunner`, and each result is a flat list of records — see
+examples/declarative_experiments.py for driving the same sweeps from JSON
+specs with `--jobs N` concurrency.
 
 Run with:  python examples/design_space_exploration.py
 """
@@ -25,18 +25,26 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.analysis.design_space import fifo_depth_sweep, precision_study, sram_width_sweep
 from repro.analysis.report import format_table, render_series
-from repro.analysis.scalability import pe_sweep
-from repro.workloads.generator import WorkloadBuilder
+from repro.experiments import ExperimentRunner
 
 #: Subset of Table III benchmarks used for the interactive sweeps.
 BENCHMARKS = ("Alex-6", "Alex-7", "NT-We")
 
 
-def explore_fifo_depth(builder: WorkloadBuilder) -> int:
+def series(records: list[dict], x_key: str, y_key: str) -> dict[str, dict]:
+    """``{benchmark: {x: y}}`` over a sweep's records."""
+    out: dict[str, dict] = {}
+    for record in records:
+        out.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
+    return out
+
+
+def explore_fifo_depth(runner: ExperimentRunner) -> int:
     print("=== Activation FIFO depth (Figure 8) ===")
-    sweep = fifo_depth_sweep((1, 2, 4, 8, 16, 32), BENCHMARKS, num_pes=64, builder=builder)
+    result = runner.run("fig8_fifo_depth", workloads=BENCHMARKS,
+                        grid={"fifo_depth": (1, 2, 4, 8, 16, 32)}, config={"num_pes": 64})
+    sweep = series(result.records, "fifo_depth", "load_balance_efficiency")
     print(render_series(sweep, x_label="FIFO depth"))
     # Pick the depth after which doubling buys less than 5 percentage points
     # of efficiency on average (the paper's "diminishing returns beyond 8").
@@ -51,41 +59,44 @@ def explore_fifo_depth(builder: WorkloadBuilder) -> int:
     return chosen
 
 
-def explore_sram_width(builder: WorkloadBuilder) -> int:
+def explore_sram_width(runner: ExperimentRunner) -> int:
     print("=== Spmat SRAM width (Figure 9) ===")
-    points = sram_width_sweep((32, 64, 128, 256, 512), ("Alex-6", "Alex-7", "Alex-8"),
-                              num_pes=64, builder=builder)
+    result = runner.run("fig9_sram_width", workloads=("Alex-6", "Alex-7", "Alex-8"),
+                        grid={"width_bits": (32, 64, 128, 256, 512)}, config={"num_pes": 64})
     totals: dict[int, float] = defaultdict(float)
-    for point in points:
-        totals[point.width_bits] += point.total_energy_nj
+    for point in result.records:
+        totals[point["width_bits"]] += point["total_energy_nj"]
     print(format_table(["Width (bits)", "Total Spmat read energy (nJ)"], sorted(totals.items())))
     chosen = min(totals, key=totals.get)
     print(f"-> chosen SRAM width: {chosen} bits (paper chooses 64)\n")
     return chosen
 
 
-def explore_precision() -> str:
+def explore_precision(runner: ExperimentRunner) -> str:
     print("=== Arithmetic precision (Figure 10) ===")
-    points = precision_study(num_samples=256)
+    points = runner.run("fig10_precision", params={"num_samples": 256}).records
     print(format_table(
         ["Precision", "Accuracy", "Multiply energy (pJ)"],
-        [[p.precision, f"{p.accuracy:.3f}", f"{p.multiply_energy_pj:.2f}"] for p in points],
+        [[p["precision"], f"{p['accuracy']:.3f}", f"{p['multiply_energy_pj']:.2f}"]
+         for p in points],
     ))
     # Pick the cheapest precision within 1% accuracy of float32.
-    reference = next(p for p in points if p.precision == "float32")
-    viable = [p for p in points if p.accuracy >= reference.accuracy - 0.01]
-    chosen = min(viable, key=lambda p: p.multiply_energy_pj).precision
+    reference = next(p for p in points if p["precision"] == "float32")
+    viable = [p for p in points if p["accuracy"] >= reference["accuracy"] - 0.01]
+    chosen = min(viable, key=lambda p: p["multiply_energy_pj"])["precision"]
     print(f"-> chosen precision: {chosen} (paper chooses 16-bit fixed point)\n")
     return chosen
 
 
-def explore_scalability(builder: WorkloadBuilder) -> None:
+def explore_scalability(runner: ExperimentRunner) -> None:
     print("=== Scalability 1-256 PEs (Figures 11-13) ===")
-    sweep = pe_sweep((1, 16, 64, 256), BENCHMARKS, builder=builder)
-    speedups = {name: {p.num_pes: round(p.speedup_vs_1pe, 1) for p in points}
-                for name, points in sweep.items()}
-    balance = {name: {p.num_pes: round(p.load_balance_efficiency, 3) for p in points}
-               for name, points in sweep.items()}
+    result = runner.run("fig11_scalability", workloads=BENCHMARKS,
+                        grid={"num_pes": (1, 16, 64, 256)})
+    speedups = {name: {pes: round(value, 1) for pes, value in curve.items()}
+                for name, curve in series(result.records, "num_pes", "speedup_vs_1pe").items()}
+    balance = {name: {pes: round(value, 3) for pes, value in curve.items()}
+               for name, curve in series(result.records, "num_pes",
+                                         "load_balance_efficiency").items()}
     print("Speedup versus 1 PE:")
     print(render_series(speedups, x_label="# PEs"))
     print("\nLoad-balance efficiency:")
@@ -94,11 +105,11 @@ def explore_scalability(builder: WorkloadBuilder) -> None:
 
 
 def main() -> None:
-    builder = WorkloadBuilder()
-    depth = explore_fifo_depth(builder)
-    width = explore_sram_width(builder)
-    precision = explore_precision()
-    explore_scalability(builder)
+    runner = ExperimentRunner()
+    depth = explore_fifo_depth(runner)
+    width = explore_sram_width(runner)
+    precision = explore_precision(runner)
+    explore_scalability(runner)
     print("=== Selected design point ===")
     print(f"FIFO depth = {depth}, Spmat SRAM width = {width} bits, precision = {precision}, "
           f"64 PEs @ 800 MHz")

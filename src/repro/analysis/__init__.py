@@ -1,36 +1,24 @@
-"""Analysis layer: regenerates every table and figure of the evaluation.
+"""Analysis layer: the per-point primitives behind every table and figure.
 
-Each module corresponds to one or more experiments:
+Each figure, table and ablation of the evaluation is a registered experiment
+of :mod:`repro.experiments` that returns uniform records; this package holds
+the pieces those experiments compute with:
 
-* :mod:`repro.analysis.speedup` — Figure 6 (speedup over CPU dense).
-* :mod:`repro.analysis.energy_efficiency` — Figure 7 (energy efficiency).
-* :mod:`repro.analysis.design_space` — Figures 8 (FIFO depth), 9 (SRAM
-  width) and 10 (arithmetic precision).
-* :mod:`repro.analysis.scalability` — Figures 11 (speedup vs #PEs), 12
-  (padding-zero overhead) and 13 (load balance vs #PEs).
-* :mod:`repro.analysis.tables` — Tables I-V.
+* :mod:`repro.analysis.speedup` — Figure 6 per-layer platform times.
+* :mod:`repro.analysis.energy_efficiency` — Figure 7 per-layer energies.
+* :mod:`repro.analysis.design_space` — the Figure 8-10 sweep ranges and the
+  Figure 10 precision proxy model.
+* :mod:`repro.analysis.scalability` — the Figure 11-13 PE counts.
+* :mod:`repro.analysis.ablation` — the codebook-size ablation's population
+  and per-point fit.
+* :mod:`repro.analysis.tables` — Tables I-V row builders.
 * :mod:`repro.analysis.report` — plain-text rendering helpers used by the
   benchmark harness and the examples.
 """
 
-from repro.analysis.ablation import (
-    CodebookBitsPoint,
-    IndexWidthPoint,
-    codebook_bits_ablation,
-    index_width_ablation,
-    partitioning_ablation,
-)
-from repro.analysis.design_space import (
-    PrecisionPoint,
-    SramWidthPoint,
-    fifo_depth_sweep,
-    precision_study,
-    sram_width_sweep,
-)
-from repro.analysis.energy_efficiency import energy_efficiency_table, layer_energies
+from repro.analysis.energy_efficiency import layer_energies
 from repro.analysis.report import format_table, geometric_mean, render_series
-from repro.analysis.scalability import ScalabilityPoint, pe_sweep
-from repro.analysis.speedup import SPEEDUP_CONFIGS, layer_times, speedup_table
+from repro.analysis.speedup import SPEEDUP_CONFIGS, layer_times
 from repro.analysis.tables import (
     table1_rows,
     table2_rows,
@@ -40,26 +28,12 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "CodebookBitsPoint",
-    "IndexWidthPoint",
-    "PrecisionPoint",
     "SPEEDUP_CONFIGS",
-    "ScalabilityPoint",
-    "SramWidthPoint",
-    "codebook_bits_ablation",
-    "index_width_ablation",
-    "partitioning_ablation",
-    "energy_efficiency_table",
-    "fifo_depth_sweep",
     "format_table",
     "geometric_mean",
     "layer_energies",
     "layer_times",
-    "pe_sweep",
-    "precision_study",
     "render_series",
-    "speedup_table",
-    "sram_width_sweep",
     "table1_rows",
     "table2_rows",
     "table3_rows",

@@ -3,21 +3,21 @@
 Energy is computation time multiplied by the platform's power while running
 M x V (the paper measures power with pcm-power / nvidia-smi / a power meter;
 we use the same per-platform power figures as Table V).  EIE's power comes
-from the per-PE Table II breakdown plus the LNZD tree.
+from the per-PE Table II breakdown plus the LNZD tree.  The
+``"fig7_energy_efficiency"`` experiment of :mod:`repro.experiments` turns
+these per-layer energies into efficiencies relative to CPU dense.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
 from repro.core.config import EIEConfig
 from repro.hardware.area import chip_power_w
-from repro.workloads.benchmarks import BENCHMARK_NAMES, LayerSpec, resolve_spec
+from repro.workloads.benchmarks import LayerSpec, resolve_spec
 from repro.workloads.generator import WorkloadBuilder
 
-__all__ = ["layer_energies", "energy_efficiency_table"]
+__all__ = ["layer_energies"]
 
 
 def layer_energies(
@@ -44,30 +44,3 @@ def layer_energies(
         "mGPU Compressed": mgpu.sparse_time_s(spec, batch) * MOBILE_GPU_TEGRA_K1.power_w,
         "EIE": eie_stats.time_s * eie_power,
     }
-
-
-def energy_efficiency_table(
-    benchmarks: "Iterable[str | LayerSpec]" = BENCHMARK_NAMES,
-    builder: WorkloadBuilder | None = None,
-    eie_config: EIEConfig | None = None,
-    batch: int = 1,
-) -> dict[str, dict[str, float]]:
-    """Figure 7 data: energy efficiency relative to CPU dense, per layer.
-
-    Returns ``{benchmark: {configuration: efficiency}}`` plus a ``"Geo Mean"``
-    entry; efficiency is CPU-dense energy divided by the configuration's
-    energy (larger is better).
-
-    Back-compat shim over the ``"fig7_energy_efficiency"`` experiment of
-    :mod:`repro.experiments`.
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "fig7_energy_efficiency",
-        builder=builder,
-        workloads=[resolve_spec(benchmark) for benchmark in benchmarks],
-        config=eie_config,
-        params={"batch": int(batch)},
-    )
-    return result.legacy()

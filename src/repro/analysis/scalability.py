@@ -1,6 +1,8 @@
 """Scalability study: Figures 11, 12 and 13.
 
-Sweeping the number of PEs from 1 to 256 (FIFO depth 8) per benchmark:
+The ``"fig11_scalability"``, ``"fig12_padding_zeros"`` and
+``"fig13_load_balance"`` experiments of :mod:`repro.experiments` sweep the
+number of PEs from 1 to 256 (FIFO depth 8) per benchmark:
 
 * Figure 11 — speedup relative to a single PE (near-linear except NT-We,
   whose 600 rows spread too thinly over many PEs);
@@ -13,63 +15,7 @@ Sweeping the number of PEs from 1 to 256 (FIFO depth 8) per benchmark:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-
-from repro.workloads.benchmarks import BENCHMARK_NAMES, LayerSpec, resolve_spec
-from repro.workloads.generator import WorkloadBuilder
-
-__all__ = ["ScalabilityPoint", "pe_sweep", "DEFAULT_PE_COUNTS"]
+__all__ = ["DEFAULT_PE_COUNTS"]
 
 #: PE counts swept in Figures 11-13.
 DEFAULT_PE_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
-
-@dataclass(frozen=True)
-class ScalabilityPoint:
-    """Results for one (benchmark, PE count) pair.
-
-    Attributes:
-        benchmark: benchmark name.
-        num_pes: number of PEs simulated.
-        total_cycles: wall-clock cycles of the layer.
-        speedup_vs_1pe: cycles at one PE divided by cycles at this PE count.
-        load_balance_efficiency: 1 - bubble cycles / total cycles (Figure 13).
-        real_work_fraction: useful entries / stored entries (Figure 12).
-    """
-
-    benchmark: str
-    num_pes: int
-    total_cycles: int
-    speedup_vs_1pe: float
-    load_balance_efficiency: float
-    real_work_fraction: float
-
-
-def pe_sweep(
-    pe_counts: Sequence[int] = DEFAULT_PE_COUNTS,
-    benchmarks: "Iterable[str | LayerSpec]" = BENCHMARK_NAMES,
-    fifo_depth: int = 8,
-    builder: WorkloadBuilder | None = None,
-    clock_mhz: float = 800.0,
-) -> dict[str, list[ScalabilityPoint]]:
-    """Run the PE-count sweep behind Figures 11, 12 and 13.
-
-    Returns one list of :class:`ScalabilityPoint` per benchmark, ordered by
-    PE count.  The speedup is measured against the smallest PE count in the
-    sweep (the paper uses 1 PE).
-
-    Back-compat shim over the ``"fig11_scalability"`` experiment of
-    :mod:`repro.experiments` (timing runs through the registry's ``"cycle"``
-    engine, one preparation per PE count, shared in the run's session).
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "fig11_scalability",
-        builder=builder,
-        workloads=[resolve_spec(benchmark) for benchmark in benchmarks],
-        grid={"num_pes": tuple(int(num_pes) for num_pes in pe_counts)},
-        config={"fifo_depth": int(fifo_depth), "clock_mhz": float(clock_mhz)},
-    )
-    return result.legacy()

@@ -3,23 +3,22 @@
 For each of the nine benchmarks the paper reports seven bars: CPU dense (the
 baseline), CPU compressed, GPU dense, GPU compressed, mobile-GPU dense,
 mobile-GPU compressed, and EIE running the compressed model, all without
-batching.  The last group is the geometric mean.  This module computes the
-per-frame times from the roofline baselines and the EIE cycle model, and the
-resulting speedups relative to CPU dense.
+batching.  The last group is the geometric mean.  This module computes one
+layer's per-frame times from the roofline baselines and the EIE cycle model;
+the ``"fig6_speedup"`` experiment of :mod:`repro.experiments` turns them into
+speedups relative to CPU dense and adds the geometric mean.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
 from repro.core.config import EIEConfig
 from repro.engine import EngineRegistry
-from repro.workloads.benchmarks import BENCHMARK_NAMES, LayerSpec, resolve_spec
+from repro.workloads.benchmarks import LayerSpec, resolve_spec
 from repro.workloads.generator import WorkloadBuilder
 
-__all__ = ["SPEEDUP_CONFIGS", "layer_times", "speedup_table", "GEOMEAN_KEY"]
+__all__ = ["SPEEDUP_CONFIGS", "layer_times", "GEOMEAN_KEY"]
 
 #: The seven bars of Figure 6, in plot order.
 SPEEDUP_CONFIGS: tuple[str, ...] = (
@@ -64,29 +63,3 @@ def layer_times(
         "mGPU Compressed": mgpu.sparse_time_s(spec, batch),
         "EIE": eie_stats.time_s,
     }
-
-
-def speedup_table(
-    benchmarks: "Iterable[str | LayerSpec]" = BENCHMARK_NAMES,
-    builder: WorkloadBuilder | None = None,
-    eie_config: EIEConfig | None = None,
-    batch: int = 1,
-) -> dict[str, dict[str, float]]:
-    """Figure 6 data: speedup of each configuration over CPU dense, per layer.
-
-    Returns ``{benchmark: {configuration: speedup}}`` plus a ``"Geo Mean"``
-    entry aggregating over the benchmarks.
-
-    Back-compat shim over the ``"fig6_speedup"`` experiment of
-    :mod:`repro.experiments`.
-    """
-    from repro.experiments import run_experiment
-
-    result = run_experiment(
-        "fig6_speedup",
-        builder=builder,
-        workloads=[resolve_spec(benchmark) for benchmark in benchmarks],
-        config=eie_config,
-        params={"batch": int(batch)},
-    )
-    return result.legacy()

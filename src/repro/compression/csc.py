@@ -74,7 +74,9 @@ def _expand_streams(
     cumulative expanded entry count through non-zero ``i``, from which the
     callers derive their column/group pointers without re-counting).
     """
-    span = max_run + 1
+    # No gap reaches its dtype's maximum, so a wider run limit pads nothing;
+    # clamping keeps the divisor representable in that dtype.
+    span = min(max_run, np.iinfo(gaps.dtype).max - 1) + 1
     padding_counts = gaps // span
     residual_runs = gaps - padding_counts * span
     ends = (np.cumsum(padding_counts + 1) - 1).astype(np.intp, copy=False)
@@ -651,7 +653,15 @@ def interleaved_entry_counts(
     Returns:
         ``(total_counts, padding_counts)``, both of shape
         ``(num_pes, num_cols)``.
+
+    Raises:
+        EncodingError: for ``max_run < 1``, like the encoders.
     """
+    if max_run < 1:
+        raise EncodingError(f"max_run must be >= 1, got {max_run}")
+    # No zero run is longer than the column, so a wider limit changes no
+    # count; clamping keeps the divisor inside the 32-bit index arithmetic.
+    max_run = min(int(max_run), int(num_rows))
     row_indices = np.asarray(row_indices, dtype=np.int64)
     col_ptr = np.asarray(col_ptr, dtype=np.int64)
     num_cols = col_ptr.shape[0] - 1

@@ -4,10 +4,9 @@ Each entry point of the paper's evaluation (Figures 6-13, Tables I-V, and
 the three design-choice ablations) is registered here as a named declarative
 experiment.  The point functions reuse the analysis layer's per-point
 primitives (``layer_times``, ``layer_energies``, the table row builders,
-``compare_strategies``, ...), the renderers reproduce the legacy CLI output
-byte for byte, and ``to_legacy`` reshapes the uniform records back into the
-legacy analysis functions' return types — those functions are now thin
-shims over this catalog.
+``compare_strategies``, ...), and the renderers reproduce the classic
+``figure``/``table``/``ablation`` CLI output byte for byte.  Every result is
+a flat list of records; there is no other output shape.
 
 Experiment names double as the ``results/<name>.{txt,json}`` file stems used
 by the benchmark harness.
@@ -31,6 +30,7 @@ from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
 from repro.compression.csc import interleaved_entry_counts
 from repro.core.partitioning import compare_strategies
+from repro.errors import ConfigurationError
 from repro.experiments.registry import Experiment, register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import ExperimentContext
@@ -45,10 +45,6 @@ __all__ = ["BUILTIN_EXPERIMENTS"]
 
 _SPEEDUP_CONFIGS = SPEEDUP_CONFIGS
 _GEOMEAN_KEY = GEOMEAN_KEY
-# The paper's sweep ranges, shared with the back-compat shims' defaults.
-_FIFO_DEPTHS = DEFAULT_FIFO_DEPTHS
-_SRAM_WIDTHS = DEFAULT_SRAM_WIDTHS
-_PE_COUNTS = DEFAULT_PE_COUNTS
 
 
 def _workload_names(result: ExperimentResult) -> list[str]:
@@ -64,6 +60,13 @@ def _workload_names(result: ExperimentResult) -> list[str]:
         if name is not None and name not in seen:
             seen.append(name)
     return seen
+
+
+def _series_view(result: ExperimentResult, x_key: str, y_key: str) -> dict:
+    series: dict[str, dict] = {}
+    for record in result.records:
+        series.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +134,9 @@ def _fig8_point(ctx: ExperimentContext, point: dict) -> dict:
     return {"fifo_depth": depth, "load_balance_efficiency": stats.load_balance_efficiency}
 
 
-def _fig8_legacy(result: ExperimentResult) -> dict[str, dict[int, float]]:
-    sweep: dict[str, dict[int, float]] = {}
-    for record in result.records:
-        sweep.setdefault(record["benchmark"], {})[record["fifo_depth"]] = record[
-            "load_balance_efficiency"
-        ]
-    return sweep
-
-
 def _render_fig8(result: ExperimentResult) -> str:
     return "Load-balance efficiency vs FIFO depth:\n" + render_series(
-        _fig8_legacy(result), "FIFO depth"
+        _series_view(result, "fifo_depth", "load_balance_efficiency"), "FIFO depth"
     )
 
 
@@ -165,20 +159,6 @@ def _fig9_point(ctx: ExperimentContext, point: dict) -> dict:
         "energy_per_read_pj": energy,
         "total_energy_nj": reads * energy / 1e3,
     }
-
-
-def _fig9_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.design_space import SramWidthPoint
-
-    return [
-        SramWidthPoint(
-            benchmark=record["benchmark"],
-            width_bits=record["width_bits"],
-            num_reads=record["num_reads"],
-            energy_per_read_pj=record["energy_per_read_pj"],
-        )
-        for record in result.records
-    ]
 
 
 def _render_fig9(result: ExperimentResult) -> str:
@@ -210,6 +190,12 @@ def _render_fig9(result: ExperimentResult) -> str:
 def _fig10_point(ctx: ExperimentContext, point: dict) -> dict:
     from repro.analysis.design_space import _build_proxy_classifier, _quantized_forward
 
+    precision = str(point["precision"])
+    if precision not in FORMATS:
+        raise ConfigurationError(
+            f"unknown precision {precision!r}; known precisions: {sorted(FORMATS)}"
+        )
+
     def build_reference():
         rng = make_rng(ctx.seed)
         network = _build_proxy_classifier(
@@ -226,7 +212,6 @@ def _fig10_point(ctx: ExperimentContext, point: dict) -> dict:
         return network, inputs, reference
 
     network, inputs, reference = ctx.memo("precision-reference", build_reference)
-    precision = str(point["precision"])
     fmt = FORMATS[precision]
     predictions = np.array(
         [int(np.argmax(_quantized_forward(network, sample, fmt))) for sample in inputs]
@@ -238,20 +223,6 @@ def _fig10_point(ctx: ExperimentContext, point: dict) -> dict:
         "agreement_with_float": agreement,
         "multiply_energy_pj": multiply_energy_pj(precision),
     }
-
-
-def _fig10_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.design_space import PrecisionPoint
-
-    return [
-        PrecisionPoint(
-            precision=record["precision"],
-            accuracy=record["accuracy"],
-            multiply_energy_pj=record["multiply_energy_pj"],
-            agreement_with_float=record["agreement_with_float"],
-        )
-        for record in result.records
-    ]
 
 
 def _render_fig10(result: ExperimentResult) -> str:
@@ -295,31 +266,6 @@ def _fig11_finalize(ctx: ExperimentContext, records: list[dict]) -> list[dict]:
         cycles = record["total_cycles"]
         out.append({**record, "speedup_vs_1pe": baseline / cycles if cycles else 0.0})
     return out
-
-
-def _fig11_legacy(result: ExperimentResult) -> dict[str, list]:
-    from repro.analysis.scalability import ScalabilityPoint
-
-    sweep: dict[str, list] = {}
-    for record in result.records:
-        sweep.setdefault(record["benchmark"], []).append(
-            ScalabilityPoint(
-                benchmark=record["benchmark"],
-                num_pes=record["num_pes"],
-                total_cycles=record["total_cycles"],
-                speedup_vs_1pe=record["speedup_vs_1pe"],
-                load_balance_efficiency=record["load_balance_efficiency"],
-                real_work_fraction=record["real_work_fraction"],
-            )
-        )
-    return sweep
-
-
-def _series_view(result: ExperimentResult, x_key: str, y_key: str) -> dict:
-    series: dict[str, dict] = {}
-    for record in result.records:
-        series.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
-    return series
 
 
 def _fig12_point(ctx: ExperimentContext, point: dict) -> dict:
@@ -489,21 +435,6 @@ def _index_width_point(ctx: ExperimentContext, point: dict) -> dict:
     }
 
 
-def _index_width_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.ablation import IndexWidthPoint
-
-    return [
-        IndexWidthPoint(
-            benchmark=record["benchmark"],
-            index_bits=record["index_bits"],
-            true_nonzeros=record["true_nonzeros"],
-            padding_zeros=record["padding_zeros"],
-            storage_bits=record["storage_bits"],
-        )
-        for record in result.records
-    ]
-
-
 def _render_index_width(result: ExperimentResult) -> str:
     sections = []
     for name in _workload_names(result):
@@ -526,29 +457,7 @@ def _codebook_point(ctx: ExperimentContext, point: dict) -> dict:
         "codebook-population",
         lambda: codebook_population(int(ctx.params["num_weights"]), ctx.seed),
     )
-    legacy = codebook_bits_point(weights, scale, int(point["weight_bits"]), ctx.seed)
-    return {
-        "weight_bits": legacy.weight_bits,
-        "codebook_entries": legacy.codebook_entries,
-        "rms_error": legacy.rms_error,
-        "relative_rms_error": legacy.relative_rms_error,
-        "weight_storage_bits_per_nonzero": legacy.weight_storage_bits_per_nonzero,
-    }
-
-
-def _codebook_legacy(result: ExperimentResult) -> list:
-    from repro.analysis.ablation import CodebookBitsPoint
-
-    return [
-        CodebookBitsPoint(
-            weight_bits=record["weight_bits"],
-            codebook_entries=record["codebook_entries"],
-            rms_error=record["rms_error"],
-            relative_rms_error=record["relative_rms_error"],
-            weight_storage_bits_per_nonzero=record["weight_storage_bits_per_nonzero"],
-        )
-        for record in result.records
-    ]
+    return codebook_bits_point(weights, scale, int(point["weight_bits"]), ctx.seed)
 
 
 def _render_codebook(result: ExperimentResult) -> str:
@@ -615,7 +524,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         run_point=_fig6_point,
         finalize=_geomean_finalize,
         render=lambda result: _render_speedup_like(result, "Speedup over CPU dense (batch 1):"),
-        to_legacy=_speedup_table_view,
     ),
     Experiment(
         name="fig7_energy_efficiency",
@@ -628,7 +536,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         render=lambda result: _render_speedup_like(
             result, "Energy efficiency over CPU dense (batch 1):"
         ),
-        to_legacy=_speedup_table_view,
     ),
     Experiment(
         name="fig8_fifo_depth",
@@ -636,11 +543,10 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig8_fifo_depth",
             workloads=BENCHMARK_NAMES,
-            grid={"fifo_depth": _FIFO_DEPTHS},
+            grid={"fifo_depth": DEFAULT_FIFO_DEPTHS},
         ),
         run_point=_fig8_point,
         render=_render_fig8,
-        to_legacy=_fig8_legacy,
     ),
     Experiment(
         name="fig9_sram_width",
@@ -648,12 +554,11 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig9_sram_width",
             workloads=BENCHMARK_NAMES,
-            grid={"width_bits": _SRAM_WIDTHS},
+            grid={"width_bits": DEFAULT_SRAM_WIDTHS},
             params={"spmat_sram_kb": 128.0, "entry_bits": 8},
         ),
         run_point=_fig9_point,
         render=_render_fig9,
-        to_legacy=_fig9_legacy,
     ),
     Experiment(
         name="fig10_precision",
@@ -672,7 +577,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         ),
         run_point=_fig10_point,
         render=_render_fig10,
-        to_legacy=_fig10_legacy,
         uses_workloads=False,
     ),
     Experiment(
@@ -681,13 +585,12 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig11_scalability",
             workloads=BENCHMARK_NAMES,
-            grid={"num_pes": _PE_COUNTS},
+            grid={"num_pes": DEFAULT_PE_COUNTS},
         ),
         run_point=_scalability_point,
         finalize=_fig11_finalize,
         render=lambda result: "Speedup vs number of PEs:\n"
         + render_series(_series_view(result, "num_pes", "speedup_vs_1pe"), "# PEs"),
-        to_legacy=_fig11_legacy,
     ),
     Experiment(
         name="fig12_padding_zeros",
@@ -695,12 +598,11 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig12_padding_zeros",
             workloads=BENCHMARK_NAMES,
-            grid={"num_pes": _PE_COUNTS},
+            grid={"num_pes": DEFAULT_PE_COUNTS},
         ),
         run_point=_fig12_point,
         render=lambda result: "Real work / total work vs number of PEs:\n"
         + render_series(_series_view(result, "num_pes", "real_work_fraction"), "# PEs"),
-        to_legacy=lambda result: _series_view(result, "num_pes", "real_work_fraction"),
     ),
     Experiment(
         name="fig13_load_balance",
@@ -708,12 +610,11 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         spec=ExperimentSpec(
             experiment="fig13_load_balance",
             workloads=BENCHMARK_NAMES,
-            grid={"num_pes": _PE_COUNTS},
+            grid={"num_pes": DEFAULT_PE_COUNTS},
         ),
         run_point=_scalability_point,
         render=lambda result: "Load balance vs number of PEs:\n"
         + render_series(_series_view(result, "num_pes", "load_balance_efficiency"), "# PEs"),
-        to_legacy=lambda result: _series_view(result, "num_pes", "load_balance_efficiency"),
     ),
     Experiment(
         name="table1_energy",
@@ -766,7 +667,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         ),
         run_point=_index_width_point,
         render=_render_index_width,
-        to_legacy=_index_width_legacy,
     ),
     Experiment(
         name="ablation_codebook_bits",
@@ -778,7 +678,6 @@ BUILTIN_EXPERIMENTS: tuple[Experiment, ...] = (
         ),
         run_point=_codebook_point,
         render=_render_codebook,
-        to_legacy=_codebook_legacy,
         uses_workloads=False,
     ),
     Experiment(

@@ -5,12 +5,15 @@ The experiment registry mirrors the engine registry pattern
 point — each figure, table and ablation of the paper — registers itself under
 a short name (``"fig8_fifo_depth"``, ``"table4_wallclock"``, ...) together
 with its default :class:`~repro.experiments.spec.ExperimentSpec`, a per-point
-run function, and a renderer reproducing the legacy CLI output byte for byte.
-Consumers select experiments by name:
+run function, and a renderer reproducing the classic CLI output byte for
+byte.  Consumers select experiments by name and read the uniform records:
 
     from repro.experiments import run_experiment
     result = run_experiment("fig8_fifo_depth", workloads=("Alex-7",))
     print(result.to_table())
+    for record in result.records:
+        print(record["benchmark"], record["fifo_depth"],
+              record["load_balance_efficiency"])
 """
 
 from __future__ import annotations
@@ -39,13 +42,10 @@ class Experiment:
         run_point: ``(context, point) -> record(s)`` — executes one grid
             point and returns one record dictionary or a list of them.
         render: ``result -> str`` — the paper-table text of a result
-            (byte-identical to the legacy CLI output).
+            (byte-identical to the classic CLI output).
         finalize: optional ``(context, records) -> records`` post-processing
             over the assembled records (cross-point derivations such as
             speedup-versus-baseline or geometric means).
-        to_legacy: optional ``result -> legacy value`` reshaping records into
-            the legacy analysis function's return type (used by the
-            back-compat shims).
         uses_workloads: whether the grid gains an implicit leading
             ``benchmark`` axis from the spec's workload selection.
     """
@@ -56,7 +56,6 @@ class Experiment:
     run_point: "Callable[[ExperimentContext, dict], Any]"
     render: "Callable[[ExperimentResult], str] | None" = None
     finalize: "Callable[[ExperimentContext, list[dict]], list[dict]] | None" = None
-    to_legacy: "Callable[[ExperimentResult], Any] | None" = None
     uses_workloads: bool = True
 
     def __post_init__(self) -> None:

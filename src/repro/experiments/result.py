@@ -70,7 +70,7 @@ class ExperimentResult:
     def to_table(self) -> str:
         """The result rendered as the paper's plain-text table.
 
-        Registered experiments render byte-for-byte what the legacy CLI entry
+        Registered experiments render byte-for-byte what the classic CLI entry
         point printed; unregistered (ad-hoc) results fall back to a generic
         table over the union of record keys.
         """
@@ -90,19 +90,6 @@ class ExperimentResult:
                     headers.append(key)
         rows = [[record.get(key) for key in headers] for record in self.records]
         return format_table(headers, rows)
-
-    def legacy(self) -> Any:
-        """The records reshaped into the legacy analysis function's return type.
-
-        The back-compat shims (``fifo_depth_sweep``, ``pe_sweep``,
-        ``speedup_table``, ...) are thin wrappers over this view.
-        """
-        from repro.experiments.registry import ExperimentRegistry
-
-        experiment = ExperimentRegistry.get_optional(self.experiment)
-        if experiment is None or experiment.to_legacy is None:
-            return [dict(record) for record in self.records]
-        return experiment.to_legacy(self)
 
     # -- serialization -----------------------------------------------------------
 

@@ -114,6 +114,20 @@ class ExperimentContext:
                 self._memo[key] = factory()
             return self._memo[key]
 
+    # -- execution -------------------------------------------------------------------
+
+    def records_for(self, point: dict[str, Any]) -> list[dict[str, Any]]:
+        """Execute one grid point and return its records, pre-finalization.
+
+        The experiment's point function may return one record or a list of
+        them; each record is prefixed with the point's axis values.  Every
+        executor backend and every shard worker runs points through here.
+        """
+        outcome = self.experiment.run_point(self, point)
+        if isinstance(outcome, dict):
+            outcome = [outcome]
+        return [{**point, **record} for record in outcome]
+
 
 def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
     """Process-pool worker: execute one contiguous chunk of grid points.
@@ -142,13 +156,7 @@ def _run_points_in_subprocess(payload: dict) -> list[list[dict]]:
         Session(store=store),
         layer_specs,
     )
-    chunk_records: list[list[dict]] = []
-    for point in payload["points"]:
-        outcome = experiment.run_point(context, point)
-        if isinstance(outcome, dict):
-            outcome = [outcome]
-        chunk_records.append([{**point, **record} for record in outcome])
-    return chunk_records
+    return [context.records_for(point) for point in payload["points"]]
 
 
 def assemble_result(
@@ -413,15 +421,8 @@ class ExperimentRunner:
         context = self.context_for(experiment, spec, layer_specs)
 
         started = time.perf_counter()
-
-        def run_one(point: dict[str, Any]) -> list[dict[str, Any]]:
-            outcome = experiment.run_point(context, point)
-            if isinstance(outcome, dict):
-                outcome = [outcome]
-            return [{**point, **record} for record in outcome]
-
         if executor == "serial" or jobs == 1 or len(points) <= 1:
-            per_point = [run_one(point) for point in points]
+            per_point = [context.records_for(point) for point in points]
         elif executor == "processes":
             # Local import: repro.shard.plan imports this module.
             from repro.shard.plan import shard_ranges
@@ -448,7 +449,7 @@ class ExperimentRunner:
             per_point = [chunk_records for chunk in per_chunk for chunk_records in chunk]
         else:
             with ThreadPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-                per_point = list(pool.map(run_one, points))
+                per_point = list(pool.map(context.records_for, points))
         return assemble_result(
             context,
             points,

@@ -5,8 +5,7 @@ AlexNet, VGG-16 and NeuralTalk models.  Because the trained/pruned weights
 themselves are not needed to reproduce the accelerator's behaviour — only the
 layer shapes, weight densities and activation densities matter — this package
 describes each benchmark as a :class:`~repro.workloads.benchmarks.LayerSpec`
-and generates deterministic synthetic sparsity patterns with those statistics
-(see DESIGN.md, 'Substitutions').
+and generates deterministic synthetic sparsity patterns with those statistics.
 """
 
 from repro.workloads.benchmarks import (

@@ -1,15 +1,14 @@
-"""Direct tests for analysis/energy_efficiency.py (Figure 7's data layer).
+"""Direct tests for Figure 7's data layer.
 
-Golden-value and shape tests for :func:`layer_energies` and
-:func:`energy_efficiency_table` on scaled layers, plus spec-level parity
-against the ``"fig7_energy_efficiency"`` experiment.
+Golden-value and shape tests for :func:`layer_energies` and for the records
+of the ``"fig7_energy_efficiency"`` experiment on scaled layers.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.energy_efficiency import energy_efficiency_table, layer_energies
+from repro.analysis.energy_efficiency import layer_energies
 from repro.analysis.report import geometric_mean
 from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
 from repro.baselines.roofline import RooflinePlatform
@@ -82,7 +81,13 @@ class TestLayerEnergies:
 class TestEnergyEfficiencyTable:
     @pytest.fixture(scope="class")
     def table(self, builder, subset, eie_config):
-        return energy_efficiency_table(subset, builder=builder, eie_config=eie_config)
+        result = run_experiment(
+            "fig7_energy_efficiency", builder=builder, workloads=subset, config=eie_config
+        )
+        return {
+            record["benchmark"]: {k: v for k, v in record.items() if k != "benchmark"}
+            for record in result.records
+        }
 
     def test_shape_benchmarks_plus_geomean(self, table, subset):
         assert set(table) == {spec.name for spec in subset} | {GEOMEAN_KEY}
@@ -111,11 +116,3 @@ class TestEnergyEfficiencyTable:
     def test_eie_dominates_every_configuration(self, table):
         for row in table.values():
             assert row["EIE"] == max(row.values())
-
-    def test_spec_level_parity_with_experiment(self, builder, subset, eie_config, table):
-        """The registered experiment reproduces the legacy table bit for bit."""
-        result = run_experiment(
-            "fig7_energy_efficiency", builder=builder, workloads=subset,
-            config=eie_config,
-        )
-        assert result.legacy() == table

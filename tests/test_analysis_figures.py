@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.design_space import fifo_depth_sweep, precision_study, sram_width_sweep
-from repro.analysis.energy_efficiency import energy_efficiency_table
-from repro.analysis.scalability import pe_sweep
-from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS, speedup_table
-from repro.core.config import EIEConfig
+from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
+from repro.experiments import run_experiment
 from repro.workloads.benchmarks import scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
 
@@ -36,10 +33,19 @@ def subset(specs):
     return [specs["Alex-6"], specs["Alex-7"], specs["NT-We"]]
 
 
+def platform_table(builder, subset, experiment: str) -> dict[str, dict]:
+    """``{benchmark: {configuration: value}}`` from Figure 6/7 records."""
+    result = run_experiment(experiment, builder=builder, workloads=subset, config={"num_pes": 16})
+    return {
+        record["benchmark"]: {k: v for k, v in record.items() if k != "benchmark"}
+        for record in result.records
+    }
+
+
 class TestFigure6Speedup:
     @pytest.fixture(scope="class")
     def table(self, builder, subset):
-        return speedup_table(subset, builder=builder, eie_config=EIEConfig(num_pes=16))
+        return platform_table(builder, subset, "fig6_speedup")
 
     def test_all_configurations_present(self, table):
         for row in table.values():
@@ -74,7 +80,7 @@ class TestFigure6Speedup:
 class TestFigure7Energy:
     @pytest.fixture(scope="class")
     def table(self, builder, subset):
-        return energy_efficiency_table(subset, builder=builder, eie_config=EIEConfig(num_pes=16))
+        return platform_table(builder, subset, "fig7_energy_efficiency")
 
     def test_eie_efficiency_is_orders_of_magnitude(self, table):
         # The paper reports ~5 orders of magnitude; scaled-down layers and a
@@ -88,14 +94,23 @@ class TestFigure7Energy:
     def test_energy_efficiency_exceeds_speedup_for_eie(self, builder, subset, table):
         # EIE's power is far lower than the CPU's, so the energy ratio must
         # exceed the pure speedup ratio.
-        speedups = speedup_table(subset, builder=builder, eie_config=EIEConfig(num_pes=16))
+        speedups = platform_table(builder, subset, "fig6_speedup")
         assert table[GEOMEAN_KEY]["EIE"] > speedups[GEOMEAN_KEY]["EIE"]
 
 
 class TestFigure8FifoDepth:
     @pytest.fixture(scope="class")
     def sweep(self, builder, subset):
-        return fifo_depth_sweep((1, 2, 4, 8, 32), subset, num_pes=16, builder=builder)
+        result = run_experiment(
+            "fig8_fifo_depth", builder=builder, workloads=subset,
+            grid={"fifo_depth": (1, 2, 4, 8, 32)}, config={"num_pes": 16},
+        )
+        sweep: dict[str, dict[int, float]] = {}
+        for record in result.records:
+            sweep.setdefault(record["benchmark"], {})[record["fifo_depth"]] = record[
+                "load_balance_efficiency"
+            ]
+        return sweep
 
     def test_efficiency_monotone_in_depth(self, sweep):
         for per_depth in sweep.values():
@@ -114,14 +129,20 @@ class TestFigure8FifoDepth:
             assert all(0.0 < value <= 1.0 for value in per_depth.values())
 
 
+def sram_width_records(builder, spec, num_pes: int) -> list[dict]:
+    return run_experiment(
+        "fig9_sram_width", builder=builder, workloads=[spec],
+        grid={"width_bits": (32, 64, 128, 256, 512)}, config={"num_pes": num_pes},
+    ).records
+
+
 class TestFigure9SramWidth:
     def test_reads_decrease_and_energy_increases_with_width(self, builder, specs):
-        points = sram_width_sweep((32, 64, 128, 256, 512), [specs["Alex-6"]], num_pes=16,
-                                  builder=builder)
-        by_width = {point.width_bits: point for point in points}
+        points = sram_width_records(builder, specs["Alex-6"], num_pes=16)
+        by_width = {point["width_bits"]: point for point in points}
         widths = sorted(by_width)
-        reads = [by_width[w].num_reads for w in widths]
-        energies = [by_width[w].energy_per_read_pj for w in widths]
+        reads = [by_width[w]["num_reads"] for w in widths]
+        energies = [by_width[w]["energy_per_read_pj"] for w in widths]
         assert all(b <= a for a, b in zip(reads, reads[1:]))
         assert all(b > a for a, b in zip(energies, energies[1:]))
 
@@ -132,8 +153,8 @@ class TestFigure9SramWidth:
         from repro.workloads.benchmarks import get_benchmark
 
         spec = get_benchmark("Alex-6").scaled(16)
-        points = sram_width_sweep((32, 64, 128, 256, 512), [spec], num_pes=4, builder=builder)
-        totals = {point.width_bits: point.total_energy_nj for point in points}
+        points = sram_width_records(builder, spec, num_pes=4)
+        totals = {point["width_bits"]: point["total_energy_nj"] for point in points}
         best_width = min(totals, key=totals.get)
         assert best_width in (64, 128)
 
@@ -141,44 +162,55 @@ class TestFigure9SramWidth:
 class TestFigure10Precision:
     @pytest.fixture(scope="class")
     def points(self):
-        return {point.precision: point for point in precision_study(num_samples=128)}
+        result = run_experiment("fig10_precision", params={"num_samples": 128})
+        return {point["precision"]: point for point in result.records}
 
     def test_float32_is_reference(self, points):
-        assert points["float32"].agreement_with_float == pytest.approx(1.0)
-        assert points["float32"].accuracy == pytest.approx(0.803)
+        assert points["float32"]["agreement_with_float"] == pytest.approx(1.0)
+        assert points["float32"]["accuracy"] == pytest.approx(0.803)
 
     def test_16bit_within_half_percent(self, points):
-        assert points["int16"].accuracy > points["float32"].accuracy - 0.02
+        assert points["int16"]["accuracy"] > points["float32"]["accuracy"] - 0.02
 
     def test_8bit_degrades_more_than_16bit(self, points):
-        assert points["int8"].accuracy < points["int16"].accuracy
+        assert points["int8"]["accuracy"] < points["int16"]["accuracy"]
 
     def test_energy_ordering(self, points):
-        assert points["int16"].multiply_energy_pj < points["int32"].multiply_energy_pj
-        assert points["int32"].multiply_energy_pj < points["float32"].multiply_energy_pj
+        assert points["int16"]["multiply_energy_pj"] < points["int32"]["multiply_energy_pj"]
+        assert points["int32"]["multiply_energy_pj"] < points["float32"]["multiply_energy_pj"]
 
 
 class TestFigures11To13Scalability:
     @pytest.fixture(scope="class")
     def sweep(self, builder, specs):
-        return pe_sweep((1, 4, 16), [specs["Alex-7"], specs["NT-We"]], builder=builder)
+        result = run_experiment(
+            "fig11_scalability", builder=builder, workloads=[specs["Alex-7"], specs["NT-We"]],
+            grid={"num_pes": (1, 4, 16)},
+        )
+        sweep: dict[str, list[dict]] = {}
+        for record in result.records:
+            sweep.setdefault(record["benchmark"], []).append(record)
+        return sweep
 
     def test_speedup_increases_with_pes(self, sweep):
         for points in sweep.values():
-            speedups = [point.speedup_vs_1pe for point in points]
+            speedups = [point["speedup_vs_1pe"] for point in points]
             assert speedups[0] == pytest.approx(1.0)
             assert speedups[-1] > speedups[0]
 
     def test_padding_overhead_shrinks_with_pes(self, sweep):
         for points in sweep.values():
-            fractions = [point.real_work_fraction for point in points]
+            fractions = [point["real_work_fraction"] for point in points]
             assert all(b >= a - 1e-9 for a, b in zip(fractions, fractions[1:]))
 
     def test_load_balance_degrades_with_pes(self, sweep):
         for points in sweep.values():
-            assert points[-1].load_balance_efficiency <= points[0].load_balance_efficiency + 1e-9
+            assert (
+                points[-1]["load_balance_efficiency"]
+                <= points[0]["load_balance_efficiency"] + 1e-9
+            )
 
     def test_cycles_decrease_with_pes(self, sweep):
         for points in sweep.values():
-            cycles = [point.total_cycles for point in points]
+            cycles = [point["total_cycles"] for point in points]
             assert all(b < a for a, b in zip(cycles, cycles[1:]))

@@ -255,6 +255,24 @@ class TestInterleavedEntryCounts:
         assert np.array_equal(counts, explicit.entries_per_pe_column())
         assert padding.sum() == explicit.num_padding_zeros
 
+    @pytest.mark.parametrize("max_run", [1, 15, 120, 2**40 - 1])
+    def test_matches_explicit_encoding_at_any_max_run(self, rng, max_run):
+        dense = (rng.random((120, 17)) < 0.06) * rng.normal(size=(120, 17))
+        row_indices, col_ptr = self._pattern_from_dense(dense)
+        counts, padding = interleaved_entry_counts(
+            row_indices, col_ptr, num_rows=120, num_pes=2, max_run=max_run
+        )
+        explicit = InterleavedCSC.from_dense(dense, num_pes=2, max_run=max_run)
+        assert np.array_equal(counts, explicit.entries_per_pe_column())
+        assert np.array_equal(padding, explicit.padding_per_pe_column())
+
+    @pytest.mark.parametrize("max_run", [0, -1])
+    def test_non_positive_max_run_rejected(self, max_run):
+        with pytest.raises(EncodingError, match="max_run"):
+            interleaved_entry_counts(
+                np.array([3]), np.array([0, 1]), num_rows=10, num_pes=2, max_run=max_run
+            )
+
     def test_empty_pattern(self):
         counts, padding = interleaved_entry_counts(
             np.array([], dtype=np.int64), np.array([0, 0, 0]), num_rows=10, num_pes=2

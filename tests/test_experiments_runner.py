@@ -109,6 +109,10 @@ class TestRunnerValidation:
         with pytest.raises(WorkloadError):
             runner.run("fig8_fifo_depth", workloads=("Alex-99",))
 
+    def test_unknown_precision_is_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"'int4'.*\['float32', 'int16'"):
+            run_experiment("fig10_precision", grid={"precision": ("int4",)})
+
 
 class TestRunnerExecution:
     def test_records_carry_point_axes_and_provenance(self, builder, subset):
@@ -196,6 +200,5 @@ class TestResult:
         )
         table = adhoc.to_table()
         assert "metric" in table and "speedup" in table
-        assert adhoc.legacy() == adhoc.records  # no registry entry: raw records
         txt_path, json_path = adhoc.write(tmp_path)
         assert txt_path.name == "adhoc_perf.txt" and json_path.exists()
