@@ -17,6 +17,8 @@ clear error naming the bad key.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
@@ -73,10 +75,21 @@ class ExperimentSpec:
             raise ConfigurationError("ExperimentSpec.experiment must be a non-empty string")
         if self.engine is not None and (not self.engine or not isinstance(self.engine, str)):
             raise ConfigurationError("ExperimentSpec.engine must be a non-empty string")
+        for name in ("seed", "repeats"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.repeats is not None and self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.scale is not None and self.scale <= 0:
-            raise ConfigurationError(f"scale must be > 0, got {self.scale}")
+        if self.scale is not None and (
+            isinstance(self.scale, bool)
+            or not isinstance(self.scale, numbers.Real)
+            or not math.isfinite(self.scale)
+            or self.scale <= 0
+        ):
+            raise ConfigurationError(f"scale must be a finite number > 0, got {self.scale!r}")
         # Normalise the container fields so equality is representation-independent
         # (JSON round-trips lists; callers pass tuples and numpy scalars).
         object.__setattr__(self, "config", _jsonable(dict(self.config)))

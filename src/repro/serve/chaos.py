@@ -161,7 +161,7 @@ def _corrupt_store_file(store_root: Path, ordinal: int) -> str | None:
     """
     files = sorted(
         path
-        for pattern in ("layers/*.npz", "prepared/*.npz", "models/*.json", "shards/*.json")
+        for pattern in ("layers/*.npz", "models/*.json", "shards/*.json")
         for path in store_root.glob(pattern)
     )
     if not files:

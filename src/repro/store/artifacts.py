@@ -10,12 +10,10 @@ once per process: every later
 :meth:`~repro.engine.session.Session.compress` — across experiment runs, CLI
 invocations, process-pool workers and CI steps — becomes a load.
 
-The store holds four artifact *kinds*, each in its own subdirectory:
+The store holds three artifact *kinds*, each in its own subdirectory:
 
 * ``layers`` — per-layer compression output (codebook + per-PE CSC streams),
   the original and still the hottest kind;
-* ``prepared`` — engine-prepared layer payloads (array bundles keyed by the
-  layer content and the engine's prepare token);
 * ``models`` — whole compressed-model manifests: the per-node layer keys of
   one :class:`~repro.models.ir.ModelIR` at one PE count, so a warm
   ``compress_model`` is pure loads;
@@ -144,10 +142,10 @@ class ArtifactStore:
     """
 
     #: Artifact kinds, each stored under ``<root>/<kind>/``.
-    KINDS = ("layers", "prepared", "models", "shards")
+    KINDS = ("layers", "models", "shards")
 
     #: File suffix per kind (array bundles vs JSON records).
-    _SUFFIX = {"layers": ".npz", "prepared": ".npz", "models": ".json", "shards": ".json"}
+    _SUFFIX = {"layers": ".npz", "models": ".json", "shards": ".json"}
 
     #: Per-kind counter names tracked by :meth:`stats`.
     COUNTERS = ("hits", "misses", "stores", "errors", "evictions")
@@ -313,58 +311,6 @@ class ArtifactStore:
         self._count(kind, "hits")
         self._touch(path)
         return payload
-
-    # -- array artifacts (prepared layers) -------------------------------------
-
-    def store_arrays(
-        self, kind: str, key: str, meta: dict, arrays: dict[str, np.ndarray]
-    ) -> Path | None:
-        """Publish a bundle of named arrays plus JSON metadata (atomic)."""
-        meta = {"format": FORMAT_VERSION, "key": key, **meta}
-        try:
-            import io
-
-            buffer = io.BytesIO()
-            np.savez(
-                buffer,
-                meta=np.frombuffer(
-                    json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
-                ),
-                **arrays,
-            )
-            return self._publish_bytes(kind, key, buffer.getvalue())
-        except OSError:
-            self._count(kind, "errors")
-            return None
-
-    def load_arrays(self, kind: str, key: str) -> tuple[dict, dict[str, np.ndarray]] | None:
-        """Load an array bundle, or ``None`` on miss/corruption."""
-        path = self._entry_path(kind, key)
-        if not path.exists():
-            self._count(kind, "misses")
-            return None
-        try:
-            with np.load(path) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                if meta.get("format") != FORMAT_VERSION or meta.get("key") != key:
-                    raise ValueError("stale or foreign key")
-                arrays = {
-                    name: np.asarray(archive[name])
-                    for name in archive.files
-                    if name != "meta"
-                }
-        except Exception:
-            self._count(kind, "errors")
-            self._count(kind, "misses")
-            self._bump_lifetime(corrupt_entries=1)
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-        self._count(kind, "hits")
-        self._touch(path)
-        return meta, arrays
 
     # -- layer store / load ----------------------------------------------------
 
@@ -760,7 +706,7 @@ class ArtifactStore:
 
         The aggregate ``hits``/``misses``/``stores``/``errors``/``evictions``
         keys sum over every artifact kind; ``by_kind`` breaks the same
-        counters down per kind (layers vs prepared vs models vs shards), so
+        counters down per kind (layers vs models vs shards), so
         a sharded run can show *where* the store saved work.
         """
         aggregate = dict.fromkeys(self.COUNTERS, 0)

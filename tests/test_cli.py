@@ -650,5 +650,5 @@ class TestShardCli:
         out = capsys.readouterr().out
         assert "Size budget (KiB)" in out and "8.0" in out
         assert "Per artifact kind" in out
-        for kind in ("layers", "prepared", "models", "shards"):
+        for kind in ("layers", "models", "shards"):
             assert kind in out

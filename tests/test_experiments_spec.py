@@ -46,11 +46,25 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="no field 'density'"):
             ExperimentSpec(experiment="x", compression={"density": 0.1})
 
-    def test_rejects_bad_repeats_and_scale(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(experiment="x", repeats=0)
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(experiment="x", scale=-1.0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("repeats", 0, id="repeats-0"),
+            pytest.param("repeats", 1.5, id="repeats-1.5"),
+            pytest.param("repeats", True, id="repeats-bool"),
+            pytest.param("scale", -1.0, id="scale-neg"),
+            pytest.param("scale", "nan", id="scale-str"),
+            pytest.param("scale", float("nan"), id="scale-nan"),
+            pytest.param("scale", float("inf"), id="scale-inf"),
+            pytest.param("scale", True, id="scale-bool"),
+            pytest.param("seed", "x", id="seed-str"),
+            pytest.param("seed", 1.5, id="seed-1.5"),
+            pytest.param("seed", True, id="seed-bool"),
+        ],
+    )
+    def test_rejects_bad_repeats_and_scale(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSpec(experiment="x", **{field: value})
 
     def test_rejects_empty_grid_axis(self):
         with pytest.raises(ConfigurationError, match="at least one value"):
