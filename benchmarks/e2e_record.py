@@ -143,13 +143,11 @@ def record() -> int:
             done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
             try:
                 line = last_json_line(done.stdout)
-            except ValueError:
-                print(done.stdout + done.stderr, file=sys.stderr)
-                print(f"{workload} run {index + 1} printed no JSON line", file=sys.stderr)
-                return 1
-            problems = run_problems(line, metrics)
+                problems = run_problems(line, metrics)
+            except ValueError as error:
+                problems = [str(error)]
             if problems:
-                print(done.stdout, file=sys.stderr)
+                print(done.stdout + done.stderr, file=sys.stderr)
                 print(f"{workload} run {index + 1} refused: {'; '.join(problems)}", file=sys.stderr)
                 return 1
             lines[workload].append(line)
@@ -180,10 +178,9 @@ def check(workload: str, log: Path) -> int:
     record_doc = json.loads(RECORD_PATH.read_text())
     try:
         line = last_json_line(log.read_text())
+        failures = check_run(record_doc, workload, line, metrics)
     except ValueError as error:
-        print(f"FAIL {workload}: {error}")
-        return 1
-    failures = check_run(record_doc, workload, line, metrics)
+        failures = [str(error)]
     for failure in failures:
         print(f"FAIL {workload}: {failure}")
     if failures:

@@ -50,7 +50,7 @@ class TestSpecValidation:
         "field, value",
         [
             pytest.param("repeats", 0, id="repeats-0"),
-            pytest.param("repeats", 1.5, id="repeats-1.5"),
+            pytest.param("repeats", 1.5, id="repeats-float"),
             pytest.param("repeats", True, id="repeats-bool"),
             pytest.param("scale", -1.0, id="scale-neg"),
             pytest.param("scale", "nan", id="scale-str"),
@@ -58,7 +58,7 @@ class TestSpecValidation:
             pytest.param("scale", float("inf"), id="scale-inf"),
             pytest.param("scale", True, id="scale-bool"),
             pytest.param("seed", "x", id="seed-str"),
-            pytest.param("seed", 1.5, id="seed-1.5"),
+            pytest.param("seed", 1.5, id="seed-float"),
             pytest.param("seed", True, id="seed-bool"),
         ],
     )
