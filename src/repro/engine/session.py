@@ -175,14 +175,16 @@ class Session:
         compression), and every fresh compression is published back.
         """
         weights = require_matrix("weights", weights)
-        fingerprint = weights_fingerprint(weights)
-        key = (
-            fingerprint,
-            int(num_pes),
-            name,
-            activation_name,
-            self.compressor.config,
+        return self._compress(
+            weights, weights_fingerprint(weights), num_pes, name, activation_name
         )
+
+    def _compress(
+        self, weights: np.ndarray, fingerprint: str, num_pes: int, name: str,
+        activation_name: str,
+    ) -> CompressedLayer:
+        """:meth:`compress` for weights whose ``fingerprint`` is already known."""
+        key = (fingerprint, int(num_pes), name, activation_name, self.compressor.config)
         cached = self._cache_get("layers", self._layer_cache, key)
         if cached is not None:
             return cached
@@ -288,11 +290,9 @@ class Session:
                 content = (fingerprint, node.activation)
                 layer = by_content.get(content)
                 if layer is None:
-                    layer = self.compress(
-                        node.weight,
-                        num_pes=int(num_pes),
-                        name=f"{model.name}/{node.name}",
-                        activation_name=node.activation,
+                    layer = self._compress(
+                        node.weight, fingerprint, int(num_pes),
+                        f"{model.name}/{node.name}", node.activation,
                     )
                     by_content[content] = layer
                 layers[node.name] = layer

@@ -378,9 +378,9 @@ class ModelIR:
                 f"{node.name}|{node.activation}|{node.source}|{node.input_slice}|"
                 f"{node.weight.shape}".encode()
             )
-            digest.update(np.ascontiguousarray(node.weight).tobytes())
+            digest.update(np.ascontiguousarray(node.weight))
             if node.bias is not None:
-                digest.update(np.ascontiguousarray(node.bias).tobytes())
+                digest.update(np.ascontiguousarray(node.bias))
         self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
