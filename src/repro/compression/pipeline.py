@@ -180,9 +180,8 @@ class CompressedLayer:
         The decoded matrix is cached (read-only) after the first call: the
         model layer re-reads it on every ``run_model`` propagation step, and
         the storage/codebook never change after construction.  The shared
-        weights are scattered straight from the storage's entry listing, by
-        flat position, into ``np.zeros`` (no fill pass; a ``-0.0`` zero entry
-        is filled), so every unstored cell holds the reserved zero entry.
+        weights are scattered by flat position into ``np.zeros`` (a ``-0.0``
+        zero entry is filled), so every unstored cell holds the zero entry.
         """
         cached = getattr(self, "_dense_weights", None)
         if cached is None:
