@@ -11,8 +11,7 @@ fronts a warm :class:`~repro.engine.Session`:
    run, never *what* they answer: every response is bit-identical to an
    offline batch-1 ``Session.run_model`` call on the same vector;
 3. sweep offered load with the open-loop Poisson generator and read the
-   p50/p99 latency and sustained throughput at each rate — the same
-   measurement the ``serve_latency`` experiment records.
+   p50/p99 latency and sustained throughput at each rate.
 
 Run with:  python examples/serving_inference.py
 (set REPRO_EXAMPLE_SCALE to shrink the problem, e.g. 64 for smoke tests)

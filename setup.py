@@ -3,7 +3,7 @@
 The base install depends only on numpy::
 
     pip install -e .            # the library
-    pip install -e .[dev]       # + test/benchmark tooling
+    pip install -e .[dev]       # + test tooling
 """
 
 import re
@@ -37,7 +37,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        "dev": ["pytest", "hypothesis", "pytest-benchmark"],
+        "dev": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": ["repro-eie = repro.cli:main"],

@@ -13,7 +13,7 @@ the pieces those experiments compute with:
   and per-point fit.
 * :mod:`repro.analysis.tables` — Tables I-V row builders.
 * :mod:`repro.analysis.report` — plain-text rendering helpers used by the
-  benchmark harness and the examples.
+  experiment renderers and the examples.
 """
 
 from repro.analysis.energy_efficiency import layer_energies

@@ -1,4 +1,4 @@
-"""Plain-text rendering helpers shared by the benchmark harness and examples."""
+"""Plain-text rendering helpers shared by the experiment renderers and examples."""
 
 from __future__ import annotations
 

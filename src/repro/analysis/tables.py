@@ -1,8 +1,8 @@
 """Builders for Tables I-V of the paper.
 
 Each function returns a list of plain dictionaries (one per table row) so the
-benchmark harness can both print the rows and compare selected cells against
-the paper's published values.
+experiment renderers can print the rows and the tests can compare selected
+cells against the paper's published values.
 """
 
 from __future__ import annotations

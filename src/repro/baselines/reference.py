@@ -2,9 +2,9 @@
 
 These dictionaries record the numbers the paper reports (Table IV wall-clock
 times, Figure 6/7 geometric-mean speedups and energy efficiencies).  They are
-*not* used by the models — they are the ground truth that the benchmark
-harness (``benchmarks/bench_*.py``) and the shape-checking tests compare the
-regenerated numbers against.
+*not* used by the models — they are the ground truth that the shape-checking
+tests and the ``paper_sweep`` benchmark workload compare the regenerated
+numbers against.
 """
 
 from __future__ import annotations

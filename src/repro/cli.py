@@ -23,9 +23,7 @@ commands are thin aliases that build the corresponding spec, and the
 
 Figures 6-13 and Tables IV-V generate the full-size Table III workloads, so
 the first invocation in a process takes tens of seconds; pass ``--scale N``
-(or ``--set scale=N``) to run proportionally smaller layers, or use the
-benchmark harness (``pytest benchmarks/ --benchmark-only``), which shares one
-cache across all of them.
+(or ``--set scale=N``) to run proportionally smaller layers.
 """
 
 from __future__ import annotations
@@ -1158,10 +1156,8 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         ]
 
     async def bench_remote() -> tuple[list, str | None]:
-        host, _, port_text = args.connect.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise SystemExit("serve bench: --connect expects HOST:PORT")
-        client = await AsyncServeClient.connect(host, int(port_text))
+        host, port = _parse_connect(args.connect, "serve bench")
+        client = await AsyncServeClient.connect(host, port)
         try:
             described = await client.models()
             name = args.model or sorted(described)[0]

@@ -17,7 +17,7 @@ over processing elements and argues for the second:
    zero-activation column.
 
 This module provides an analytic model of all three so the design choice can
-be studied as an ablation (``benchmarks/bench_ablation_design_choices.py``):
+be studied as an ablation (the ``ablation_partitioning`` experiment):
 each strategy reports its per-PE work distribution, the broadcast/reduction
 communication it needs, and an estimated cycle count on the same hardware
 assumptions as the cycle-level model (one entry retired per PE per cycle, one

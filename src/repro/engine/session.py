@@ -487,8 +487,8 @@ class Session:
 
         With an attached artifact store the ``"store"`` entry carries its
         hit/miss/store/error/eviction counters — aggregated at the top level
-        and broken down per artifact kind (layers / prepared / models /
-        shards) under ``"by_kind"``; without one it reads all zeros.  The
+        and broken down per artifact kind (layers / models / shards) under
+        ``"by_kind"``; without one it reads all zeros.  The
         ``"engines"`` entry additionally breaks entries down by engine name
         under ``"by_engine"`` — engine-cache keys include the registry name,
         so same-config instances of different backends (``cycle`` versus

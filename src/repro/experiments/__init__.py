@@ -32,7 +32,6 @@ from repro.experiments.registry import Experiment, ExperimentRegistry, register_
 from repro.experiments.reliability_catalog import RELIABILITY_EXPERIMENTS
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import ExperimentContext, ExperimentRunner, run_experiment
-from repro.experiments.serve_catalog import SERVE_EXPERIMENTS
 from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "DSE_EXPERIMENTS",
     "MODEL_EXPERIMENTS",
     "RELIABILITY_EXPERIMENTS",
-    "SERVE_EXPERIMENTS",
     "Experiment",
     "ExperimentContext",
     "ExperimentRegistry",

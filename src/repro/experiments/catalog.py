@@ -8,8 +8,8 @@ primitives (``layer_times``, ``layer_energies``, the table row builders,
 ``figure``/``table``/``ablation`` CLI output byte for byte.  Every result is
 a flat list of records; there is no other output shape.
 
-Experiment names double as the ``results/<name>.{txt,json}`` file stems used
-by the benchmark harness.
+Experiment names double as the ``results/<name>.{txt,json}`` file stems that
+``repro experiment run`` writes.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.analysis.report import format_table
 from repro.experiments.spec import ExperimentSpec, _jsonable
@@ -48,22 +48,6 @@ class ExperimentResult:
     records: list[dict[str, Any]]
     metadata: dict[str, Any] = field(default_factory=dict)
     provenance: dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_records(
-        cls,
-        experiment: str,
-        records: Iterable[dict[str, Any]],
-        spec: ExperimentSpec | None = None,
-        **metadata: Any,
-    ) -> "ExperimentResult":
-        """Wrap ad-hoc records (e.g. a perf harness) in the uniform shape."""
-        return cls(
-            experiment=experiment,
-            spec=spec or ExperimentSpec(experiment=experiment),
-            records=[dict(record) for record in records],
-            metadata=dict(metadata),
-        )
 
     # -- rendering ---------------------------------------------------------------
 
@@ -119,27 +103,12 @@ class ExperimentResult:
         """The result serialized as JSON text."""
         return json.dumps(self.to_dict(), indent=indent)
 
-    def write(
-        self,
-        results_dir: str | Path,
-        stem: str | None = None,
-        extra: str | None = None,
-    ) -> tuple[Path, Path]:
-        """Write ``<stem>.txt`` (rendered table) and ``<stem>.json``.
-
-        ``stem`` defaults to the experiment name, giving every entry point the
-        shared ``results/<experiment>.{txt,json}`` naming scheme; ``extra``
-        text (e.g. a comparison against the paper's published numbers) is
-        appended to the ``.txt`` report.
-        """
+    def write(self, results_dir: str | Path) -> tuple[Path, Path]:
+        """Write ``<experiment>.txt`` (rendered table) and ``<experiment>.json``."""
         results_dir = Path(results_dir)
         results_dir.mkdir(parents=True, exist_ok=True)
-        stem = stem or self.experiment
-        text = self.to_table()
-        if extra:
-            text += "\n\n" + extra
-        txt_path = results_dir / f"{stem}.txt"
-        json_path = results_dir / f"{stem}.json"
-        txt_path.write_text(text + "\n")
+        txt_path = results_dir / f"{self.experiment}.txt"
+        json_path = results_dir / f"{self.experiment}.json"
+        txt_path.write_text(self.to_table() + "\n")
         json_path.write_text(self.to_json() + "\n")
         return txt_path, json_path

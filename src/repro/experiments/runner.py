@@ -213,8 +213,8 @@ class ExperimentRunner:
         jobs: default concurrency (``1`` = serial; ``N > 1`` runs points on a
             worker pool).  Per-call ``jobs`` overrides this.
         builder: workload builder shared across runs (one is created if not
-            given); inject the benchmark harness's session-scoped builder to
-            share its pattern cache.
+            given); inject a shared builder to share its pattern cache
+            across runners.
         session: engine session shared across runs (one per runner if not
             given; when ``store`` is set and no session is given, the created
             session is attached to the store).

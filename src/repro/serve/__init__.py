@@ -38,9 +38,9 @@ Typical use::
 
     asyncio.run(main())
 
-The offered-load sweep is a registered experiment (``serve_latency``), so
-serving performance is tracked exactly like the paper figures.  See
-``docs/ARCHITECTURE.md`` ("The serving layer").
+``repro serve bench`` drives the open-loop and closed-loop load generators
+against an in-process server or a daemon.  See ``docs/ARCHITECTURE.md``
+("The serving layer").
 """
 
 from repro.serve.chaos import ChaosEvent, ChaosPlan, run_chaos_acceptance

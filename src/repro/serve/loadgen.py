@@ -107,7 +107,7 @@ class LoadReport:
         return float(self.batch_sizes.mean()) if self.batch_sizes.size else 0.0
 
     def record(self) -> dict[str, Any]:
-        """A flat JSON-friendly record (one experiment grid point)."""
+        """A flat JSON-friendly record (one row of a ``serve bench`` report)."""
         return {
             "mode": self.mode,
             "concurrency": self.concurrency,
@@ -127,6 +127,18 @@ class LoadReport:
             "sim_latency_us": self.sim_latency_us,
             "sim_cycles": self.sim_cycles,
         }
+
+
+def _arrival_offsets(count: int, rate_rps: float, seed: int) -> np.ndarray:
+    """Seconds from the start at which each of ``count`` requests arrives.
+
+    Poisson arrivals at ``rate_rps``: exponential gaps drawn from a seed
+    derived from ``seed`` and ``count``, the first request at offset 0.
+    """
+    rng = make_rng(derive_seed(seed, "serve-loadgen", count))
+    gaps = rng.exponential(scale=1.0 / rate_rps, size=count)
+    gaps[0] = 0.0
+    return np.cumsum(gaps)
 
 
 async def run_open_loop(
@@ -159,10 +171,7 @@ async def run_open_loop(
     if rate_rps <= 0:
         raise ConfigurationError(f"offered rate must be > 0 rps, got {rate_rps}")
     count = inputs.shape[0]
-    rng = make_rng(derive_seed(seed, "serve-loadgen", count))
-    gaps = rng.exponential(scale=1.0 / rate_rps, size=count)
-    gaps[0] = 0.0  # the first request arrives immediately
-    arrivals = np.cumsum(gaps)
+    arrivals = _arrival_offsets(count, rate_rps, seed)
 
     latencies: list[float] = [float("nan")] * count
     batch_sizes: list[int] = []

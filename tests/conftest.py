@@ -1,8 +1,9 @@
 """Shared fixtures for the test suite.
 
-Everything uses small matrices and few PEs so the whole suite runs in
-seconds; the full-size Table III layers are exercised only by the benchmark
-harness in ``benchmarks/``.
+Unit tests use small matrices and few PEs.  The paper's figure and table
+checks run at full Table III scale through one session-scoped
+:class:`~repro.experiments.runner.ExperimentRunner` (``paper_runner``), so
+the nine benchmark layers' sparsity patterns are built once per session.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import pytest
 
 from repro.compression import CompressionConfig, DeepCompressor
 from repro.core import EIEConfig
+from repro.experiments import ExperimentRunner
 from repro.workloads import LayerSpec
 
 
@@ -25,6 +27,12 @@ def _hermetic_artifact_store(tmp_path_factory, monkeypatch):
     """
     root = tmp_path_factory.getbasetemp() / "repro-store"
     monkeypatch.setenv("REPRO_STORE_DIR", str(root))
+
+
+@pytest.fixture(scope="session")
+def paper_runner() -> ExperimentRunner:
+    """One runner (workload builder + engine session) for every full-scale check."""
+    return ExperimentRunner()
 
 
 @pytest.fixture

@@ -1,17 +1,21 @@
-"""Tests for the figure-reproduction analysis (Figures 6-13) on scaled layers.
+"""Tests for the figure-reproduction analysis (Figures 6-13).
 
-The full-size Table III layers are exercised by the benchmark harness; here we
-use proportionally scaled-down layers (same densities) to check that the
-analysis code produces the qualitative shapes the paper reports.
+Most classes use proportionally scaled-down layers (same densities) to check
+that the analysis code produces the qualitative shapes the paper reports.
+:class:`TestFullScaleFigures` regenerates each figure on the full-size
+Table III layers through the session-scoped ``paper_runner`` and checks the
+paper's conclusions there.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import pytest
 
 from repro.analysis.speedup import GEOMEAN_KEY, SPEEDUP_CONFIGS
 from repro.experiments import run_experiment
-from repro.workloads.benchmarks import scaled_benchmarks
+from repro.workloads.benchmarks import BENCHMARK_NAMES, scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
 
 #: Scale factor for the test layers: 64x smaller per dimension.
@@ -59,8 +63,8 @@ class TestFigure6Speedup:
         # At 1/64 scale with only 16 PEs the absolute advantage shrinks (the
         # baselines' memory traffic shrinks 4096x while EIE keeps a broadcast
         # floor), so we assert the orderings that survive down-scaling; the
-        # full-size Figure 6, where EIE beats the GPU too, is regenerated by
-        # benchmarks/bench_fig6_speedup.py.
+        # full-size Figure 6, where EIE beats the GPU too, is checked by
+        # TestFullScaleFigures.test_fig6_speedup_over_cpu.
         for benchmark, row in table.items():
             assert row["EIE"] > row["CPU Compressed"]
             assert row["EIE"] > row["mGPU Compressed"]
@@ -214,3 +218,135 @@ class TestFigures11To13Scalability:
         for points in sweep.values():
             cycles = [point["total_cycles"] for point in points]
             assert all(b < a for a, b in zip(cycles, cycles[1:]))
+
+
+def series_of(records: list[dict], x_key: str, y_key: str) -> dict[str, dict]:
+    """``{benchmark: {x: y}}`` over a sweep's records, in record order."""
+    out: dict[str, dict] = {}
+    for record in records:
+        out.setdefault(record["benchmark"], {})[record[x_key]] = record[y_key]
+    return out
+
+
+def config_table(records: list[dict]) -> dict[str, dict]:
+    """``{benchmark: {configuration: value}}`` over Figure 6/7 records."""
+    return {
+        record["benchmark"]: {config: record[config] for config in SPEEDUP_CONFIGS}
+        for record in records
+    }
+
+
+class TestFullScaleFigures:
+    """Figures 6-13 on the nine full-size Table III layers (shape, not exact values)."""
+
+    def test_fig6_speedup_over_cpu(self, paper_runner):
+        table = config_table(paper_runner.run("fig6_speedup").records)
+        geomean = table[GEOMEAN_KEY]
+        assert geomean["EIE"] > 100.0
+        assert geomean["EIE"] > geomean["GPU Compressed"] > geomean["GPU Dense"]
+        assert geomean["CPU Compressed"] < 10.0           # compression alone buys only a few x
+        assert geomean["mGPU Dense"] < 2.0                # the mobile GPU is no faster than the CPU
+        for name in BENCHMARK_NAMES:
+            assert table[name]["EIE"] == max(table[name].values())
+
+    def test_fig7_energy_efficiency(self, paper_runner):
+        table = config_table(paper_runner.run("fig7_energy_efficiency").records)
+        geomean = table[GEOMEAN_KEY]
+        assert geomean["EIE"] > 5_000.0            # several orders of magnitude
+        assert geomean["EIE"] > 100 * geomean["GPU Compressed"]
+        assert geomean["CPU Compressed"] < 20.0
+        for name in BENCHMARK_NAMES:
+            assert table[name]["EIE"] == max(table[name].values())
+
+    def test_fig8_fifo_depth_sweep(self, paper_runner):
+        sweep = series_of(
+            paper_runner.run("fig8_fifo_depth").records, "fifo_depth", "load_balance_efficiency"
+        )
+        for name in BENCHMARK_NAMES:
+            per_depth = sweep[name]
+            values = [per_depth[d] for d in sorted(per_depth)]
+            # Monotone improvement with diminishing returns beyond depth 8.
+            assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+            assert per_depth[256] - per_depth[8] <= (per_depth[8] - per_depth[1]) + 0.05
+        # At depth 1 a substantial fraction of cycles are idle on the large layers.
+        assert sweep["Alex-6"][1] < 0.85
+        # NT-We has the worst load balance (only 600 rows over 64 PEs).
+        assert sweep["NT-We"][8] == min(sweep[name][8] for name in BENCHMARK_NAMES)
+
+    def test_fig9_sram_width_sweep(self, paper_runner):
+        # The paper benchmarks Figure 9 on the AlexNet layers.
+        alexnet = ("Alex-6", "Alex-7", "Alex-8")
+        points = paper_runner.run("fig9_sram_width", workloads=alexnet).records
+        combined: dict[int, float] = defaultdict(float)
+        for point in points:
+            combined[point["width_bits"]] += point["total_energy_nj"]
+        # Reads fall and energy per read rises monotonically with width.
+        for layer in alexnet:
+            layer_points = sorted(
+                (p for p in points if p["benchmark"] == layer), key=lambda p: p["width_bits"]
+            )
+            reads = [p["num_reads"] for p in layer_points]
+            energies = [p["energy_per_read_pj"] for p in layer_points]
+            assert all(b <= a for a, b in zip(reads, reads[1:]))
+            assert all(b > a for a, b in zip(energies, energies[1:]))
+        # The total-energy optimum is the 64-bit interface the paper selects.
+        assert min(combined, key=combined.get) == 64
+
+    def test_fig10_arithmetic_precision(self, paper_runner):
+        records = paper_runner.run("fig10_precision", params={"num_samples": 512}).records
+        by_precision = {point["precision"]: point for point in records}
+        float32 = by_precision["float32"]
+        int16 = by_precision["int16"]
+        int8 = by_precision["int8"]
+        # Accuracy: 16-bit is nearly lossless, 8-bit degrades substantially.
+        assert float32["accuracy"] - int16["accuracy"] < 0.03
+        assert int8["accuracy"] < int16["accuracy"] - 0.05
+        # Energy: the ratios quoted in the paper (5x vs int32, ~6.2x vs float32).
+        assert by_precision["int32"]["multiply_energy_pj"] / int16["multiply_energy_pj"] > 4.5
+        assert float32["multiply_energy_pj"] / int16["multiply_energy_pj"] > 5.5
+
+    def test_fig11_scalability(self, paper_runner):
+        sweep = series_of(
+            paper_runner.run("fig11_scalability").records, "num_pes", "speedup_vs_1pe"
+        )
+        for name in BENCHMARK_NAMES:
+            speedups = sweep[name]
+            # Speedup grows with PE count everywhere.
+            ordered = [speedups[n] for n in sorted(speedups)]
+            assert all(b >= a - 1e-9 for a, b in zip(ordered, ordered[1:]))
+        # Large layers scale nearly linearly to 64 PEs (>= ~60% efficiency).
+        for name in ("Alex-6", "Alex-7", "VGG-6", "NT-Wd"):
+            assert sweep[name][64] > 0.6 * 64
+        # NT-We saturates: its speedup at 256 PEs is far below linear.
+        assert sweep["NT-We"][256] < 0.5 * 256
+        assert sweep["NT-We"][256] < sweep["Alex-7"][256]
+
+    def test_fig12_padding_zero_overhead(self, paper_runner):
+        series = series_of(
+            paper_runner.run("fig12_padding_zeros").records, "num_pes", "real_work_fraction"
+        )
+        for name in BENCHMARK_NAMES:
+            fractions = [series[name][n] for n in sorted(series[name])]
+            # Padding overhead shrinks (real work fraction grows) with more PEs.
+            assert all(b >= a - 1e-9 for a, b in zip(fractions, fractions[1:]))
+            assert 0.0 < fractions[0] <= 1.0
+            # With 256 PEs the local columns are so short that padding largely vanishes.
+            assert series[name][256] > 0.9
+        # The sparsest layers (VGG-6/7 at 4% density) have the most padding at 1 PE.
+        sparsest = min(series[name][1] for name in BENCHMARK_NAMES)
+        assert min(series["VGG-6"][1], series["VGG-7"][1]) == sparsest
+        assert series["VGG-6"][1] < series["Alex-6"][1] < series["Alex-8"][1]
+
+    def test_fig13_load_balance_vs_pes(self, paper_runner):
+        series = series_of(
+            paper_runner.run("fig13_load_balance").records, "num_pes", "load_balance_efficiency"
+        )
+        for name in BENCHMARK_NAMES:
+            efficiencies = series[name]
+            # A single PE is perfectly balanced by definition.
+            assert efficiencies[1] == pytest.approx(1.0, abs=0.01)
+            # Load balance at 256 PEs is worse than at 1 PE for every benchmark.
+            assert efficiencies[256] < efficiencies[1]
+            assert 0.0 < efficiencies[256] <= 1.0
+        # NT-We (600 rows) suffers the most at high PE counts.
+        assert series["NT-We"][256] == min(series[name][256] for name in BENCHMARK_NAMES)

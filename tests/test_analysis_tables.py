@@ -1,4 +1,9 @@
-"""Tests for the Table I-V builders (Table IV/V on scaled layers where heavy)."""
+"""Tests for the Table I-V builders (Table IV/V on scaled layers where heavy).
+
+:class:`TestFullScaleTables` regenerates Tables I-III through the
+session-scoped ``paper_runner``; the full-size Tables IV and V are checked in
+``test_baselines.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,9 @@ import pytest
 
 from repro.analysis.tables import table1_rows, table2_rows, table3_rows, table4_rows
 from repro.core.config import EIEConfig
-from repro.workloads.benchmarks import BENCHMARK_NAMES, scaled_benchmarks
+from repro.hardware.area import chip_area_mm2, chip_power_w, num_lnzd_units
+from repro.hardware.energy import ENERGY_TABLE_45NM
+from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark, scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
 
 
@@ -77,3 +84,27 @@ class TestTable4:
             if benchmark in ("platform", "batch", "kernel"):
                 continue
             assert eie_actual[benchmark] < cpu_dense[benchmark]
+
+
+class TestFullScaleTables:
+    def test_table1_energy_table(self, paper_runner):
+        rows = paper_runner.run("table1_energy").records
+        # DRAM costs 128x an SRAM access and three orders of magnitude more than an add.
+        assert ENERGY_TABLE_45NM.dram_over_sram == 128.0
+        assert rows[-1]["relative_cost"] > 1000.0
+
+    def test_table2_chip_totals(self):
+        # The 64-PE chip totals quoted in Section VI: 40.8 mm^2, ~0.59 W.
+        assert abs(chip_area_mm2(64) - 40.8) / 40.8 < 0.05
+        assert abs(chip_power_w(64) - 0.59) / 0.59 < 0.05
+        assert num_lnzd_units(64) == 21
+
+    def test_table3_realised_workload_densities(self, paper_runner):
+        rows = paper_runner.run("table3_benchmarks").records
+        assert [row["layer"] for row in rows] == list(BENCHMARK_NAMES)
+        builder = paper_runner.builder
+        for name in BENCHMARK_NAMES:
+            spec = get_benchmark(name)
+            activations = builder.activations(spec)
+            assert abs(builder.pattern(spec).density - spec.weight_density) < 0.01
+            assert abs(float((activations != 0).mean()) - spec.activation_density) < 0.03

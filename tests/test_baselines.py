@@ -99,6 +99,38 @@ class TestDaDianNao:
         assert energy.energy_j > 0
 
 
+class TestFullScaleTables4And5:
+    """Tables IV and V regenerated on the full-size Table III layers."""
+
+    def test_table4_wall_clock_times(self, paper_runner):
+        rows = paper_runner.run("table4_wallclock").records
+        eie_actual = next(r for r in rows if r["platform"] == "EIE" and r["kernel"] == "actual")
+        eie_theoretical = next(
+            r for r in rows if r["platform"] == "EIE" and r["kernel"] == "theoretical"
+        )
+        paper_actual = PAPER_TABLE_IV_US["EIE"][(1, "actual")]
+        for name in BENCHMARK_NAMES:
+            # Our EIE latency lands within ~2x of the published value and the
+            # actual time is never better than the theoretical bound.
+            assert 0.4 < eie_actual[name] / paper_actual[name] < 2.5
+            assert eie_actual[name] >= eie_theoretical[name] - 1e-9
+        cpu_rows = {(r["batch"], r["kernel"]): r for r in rows if r["platform"] == "CPU"}
+        # Crossover: compression helps the CPU at batch 1 but hurts at batch 64.
+        assert cpu_rows[(1, "sparse")]["Alex-6"] < cpu_rows[(1, "dense")]["Alex-6"]
+        assert cpu_rows[(64, "sparse")]["Alex-6"] > cpu_rows[(64, "dense")]["Alex-6"]
+
+    def test_table5_platform_comparison(self, paper_runner):
+        by_name = {row["platform"]: row for row in paper_runner.run("table5_platforms").records}
+        eie64 = by_name["EIE (64PE, 45nm)"]
+        eie256 = by_name["EIE (256PE, 28nm)"]
+        dadiannao = by_name["DaDianNao"]
+        # EIE (256 PE) out-runs DaDianNao and EIE (64 PE) is ~10x more efficient.
+        assert eie256["throughput_fps"] > dadiannao["throughput_fps"]
+        assert eie64["energy_efficiency_fpj"] > 10 * dadiannao["energy_efficiency_fpj"]
+        assert eie64["power_w"] < 1.0
+        assert eie64["throughput_fps"] > by_name["GeForce Titan X"]["throughput_fps"]
+
+
 class TestTable5:
     @pytest.fixture(scope="class")
     def rows(self):

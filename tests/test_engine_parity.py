@@ -9,9 +9,16 @@ validation flow:
   layers and activations);
 * a batched ``run`` equals a loop of single-vector runs, element-wise;
 * the ``"rtl"`` adapter agrees with the functional values.
+
+:class:`TestAlexNetFCScale` repeats the cycle and functional checks on an
+AlexNet-FC-sized layer and holds the batched engine to at least 1.5x the
+speed of sequential single-vector simulations.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -22,9 +29,10 @@ from hypothesis import strategies as st
 from repro.compression.pipeline import CompressionConfig, DeepCompressor
 from repro.core.config import EIEConfig
 from repro.core.cycle_model import CycleAccurateEIE, CycleStats
-from repro.engine import EngineRegistry, FunctionalEngine
+from repro.engine import EngineRegistry, FunctionalEngine, Session
 from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
+from repro.utils.rng import make_rng
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -250,3 +258,68 @@ class TestWorkloadPath:
         prepared = engine.prepare(workload)
         with pytest.raises(SimulationError):
             engine.run(prepared, np.ones(tiny_spec.cols))
+
+
+class TestAlexNetFCScale:
+    """A 2048 x 2048 layer at Alex-7's densities, 64 PEs, a batch of 64."""
+
+    BATCH = 64
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = make_rng(7)
+        weights = rng.normal(0.0, 0.1, size=(2048, 2048))
+        session = Session(CompressionConfig(target_density=0.09), config=EIEConfig(num_pes=64))
+        layer = session.compress(weights, num_pes=64, name="alex7-half")
+        batch = rng.uniform(0.1, 1.0, size=(self.BATCH, 2048))
+        batch[rng.random((self.BATCH, 2048)) >= 0.35] = 0.0
+        return session, layer, batch
+
+    def test_engines_match_cycle_class_and_dense_product(self, setup):
+        session, layer, batch = setup
+        config = session.default_config
+        vector = batch[0]
+        cycle_engine = EngineRegistry.create("cycle", config)
+        engine_stats = cycle_engine.run(cycle_engine.prepare(layer), vector).stats
+        legacy_stats = CycleAccurateEIE(config).simulate_layer(layer, vector)
+        assert engine_stats.total_cycles == legacy_stats.total_cycles
+        assert np.array_equal(engine_stats.busy_cycles, legacy_stats.busy_cycles)
+        assert engine_stats.padding_entries == legacy_stats.padding_entries
+
+        functional_engine = EngineRegistry.create("functional", config)
+        engine_output = functional_engine.run(functional_engine.prepare(layer), vector).output
+        dense_output = np.maximum(layer.dense_weights() @ vector, 0.0)
+        assert np.allclose(engine_output, dense_output, rtol=1e-9, atol=1e-12)
+
+    def test_batched_run_equals_sequential_simulations(self, setup):
+        session, layer, batch = setup
+        legacy = CycleAccurateEIE(session.default_config)
+        sequential = [legacy.simulate_layer(layer, row) for row in batch]
+        batched = session.run("cycle", layer, batch)
+        assert len(batched.cycles) == self.BATCH
+        assert all(
+            ours.total_cycles == theirs.total_cycles
+            and ours.entries_processed == theirs.entries_processed
+            and ours.padding_entries == theirs.padding_entries
+            for ours, theirs in zip(batched.cycles, sequential)
+        )
+
+    def test_batched_run_is_at_least_1_5x_faster(self, setup):
+        """Medians of 5 alternating (64 sequential runs, one batched run) pairs."""
+        session, layer, batch = setup
+        legacy = CycleAccurateEIE(session.default_config)
+        session.run("cycle", layer, batch[:2])  # warm the prepared-layer cache
+        sequential_s, batched_s = [], []
+        for _ in range(5):
+            start = time.perf_counter()
+            for row in batch:
+                legacy.simulate_layer(layer, row)
+            sequential_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            session.run("cycle", layer, batch)
+            batched_s.append(time.perf_counter() - start)
+        speedup = statistics.median(sequential_s) / statistics.median(batched_s)
+        assert speedup >= 1.5, (
+            f"batched cycle simulation is only {speedup:.1f}x faster than "
+            f"{self.BATCH} sequential runs (need >= 1.5x)"
+        )

@@ -49,8 +49,8 @@ class TestLegacyFunctionParity:
             assert record["load_balance_efficiency"] == stats.load_balance_efficiency
 
     def test_tables_match_legacy_row_builders(self):
-        # Table V is exercised at full scale by the benchmark harness only
-        # (its AlexNet-FC7 workload is too heavy for the unit suite).
+        # Table V is checked at full scale in test_baselines.py
+        # (TestFullScaleTables4And5), not against a legacy row builder.
         from repro.analysis.tables import table1_rows, table2_rows, table3_rows
 
         assert run_experiment("table1_energy").records == table1_rows()

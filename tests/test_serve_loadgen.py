@@ -1,4 +1,4 @@
-"""Tests for the load generators (open and closed loop) and serve_latency."""
+"""Tests for the load generators (open and closed loop)."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import pytest
 
 from repro.core.config import EIEConfig
 from repro.errors import ConfigurationError, ServerOverloadedError
-from repro.experiments import ExperimentRegistry, run_experiment
 from repro.models import build_model, synthetic_model_inputs
 from repro.serve import BatchPolicy, Server, run_closed_loop, run_open_loop
+from repro.serve.loadgen import _arrival_offsets
 
 
 @dataclass
@@ -82,20 +82,11 @@ class TestLoadReportMath:
             asyncio.run(run_open_loop(submit, np.ones((2, 4)), rate_rps=0.0))
 
     def test_arrivals_deterministic_per_seed(self):
-        arrival_times: list[list[float]] = []
-
-        for _ in range(2):
-            times: list[float] = []
-
-            async def submit(vector):
-                loop = asyncio.get_running_loop()
-                times.append(loop.time())
-                return _FakeResponse(1, vector, None, None)
-
-            self._report(submit, count=10, rate=5000.0)
-            first = times[0]
-            arrival_times.append([t - first for t in times])
-        assert np.allclose(arrival_times[0], arrival_times[1], atol=5e-3)
+        first = _arrival_offsets(10, 5000.0, seed=0)
+        assert first[0] == 0.0
+        assert np.all(np.diff(first) >= 0.0)
+        assert np.array_equal(first, _arrival_offsets(10, 5000.0, seed=0))
+        assert not np.array_equal(first, _arrival_offsets(10, 5000.0, seed=1))
 
 
 class TestAgainstRealServer:
@@ -234,32 +225,6 @@ class TestClosedLoop:
         assert report.concurrency == 6
         assert report.throughput_rps > 0
         assert all(output is not None for output in report.outputs)
-
-
-class TestServeLatencyExperiment:
-    def test_registered_with_offered_load_grid(self):
-        experiment = ExperimentRegistry.get("serve_latency")
-        assert "offered_rps" in experiment.spec.grid
-        assert experiment.spec.params["max_batch"] >= 1
-        assert not experiment.uses_workloads
-
-    def test_smoke_run_and_render(self):
-        spec = ExperimentRegistry.get("serve_latency").spec.with_overrides(
-            [
-                ("params.requests", 20),
-                ("params.scale", 64),
-                ("grid.offered_rps", [400]),
-                ("config.num_pes", 8),
-            ]
-        )
-        result = run_experiment(spec)
-        assert len(result.records) == 1
-        record = result.records[0]
-        assert record["offered_rps"] == 400
-        assert record["completed"] + record["rejected"] + record["errors"] == 20
-        assert record["errors"] == 0
-        table = result.to_table()
-        assert "offered load" in table and "400" in table
 
 
 class TestRetriablePartition:
