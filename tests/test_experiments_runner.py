@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     Experiment,
     ExperimentRegistry,
+    ExperimentResult,
     ExperimentRunner,
     ExperimentSpec,
     register_experiment,
@@ -192,6 +193,16 @@ class TestResult:
         stored = json.loads(json_path.read_text())
         assert stored["provenance"]["spec"]["experiment"] == "fig8_fifo_depth"
 
+    def test_adhoc_results_fall_back_to_generic_table(self, tmp_path):
+        adhoc = ExperimentResult(
+            experiment="adhoc_perf",
+            spec=ExperimentSpec(experiment="adhoc_perf"),
+            records=[{"metric": "speedup", "value": 5.0}],
+        )
+        table = adhoc.to_table()
+        assert "metric" in table and "speedup" in table
+        txt_path, json_path = adhoc.write(tmp_path)
+        assert txt_path.name == "adhoc_perf.txt" and json_path.exists()
 
 
 #: Smoke-scale overrides for the determinism gate.  The two design-space
