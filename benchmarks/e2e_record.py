@@ -13,7 +13,8 @@ operations, and writes ``BENCH_e2e.json``: for each workload and each
 end-to-end metric of ``BENCHMARK.json``, the median, q1, q3 and n of the
 runs' values (the quartile rule of :func:`e2e_bench.stats.summarize`), with
 the metric's unit and direction, plus when, where and on which commit it was
-recorded.
+recorded and how many lines ``src/**/*.py`` holds (``meta.src_lines``), so
+the code size is tracked next to the speed it buys.
 
 ``check`` reads the last JSON line of one untraced run's log and exits 1
 unless the run is correct, has no failed operation, reports every end-to-end
@@ -53,6 +54,11 @@ MAX_FACTOR = 2.0
 def end_to_end_metrics() -> list[dict]:
     """The end-to-end metrics of ``BENCHMARK.json``: name, unit, better, bound."""
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def src_lines(root: Path = ROOT / "src") -> int:
+    """Lines (newline characters, as ``wc -l`` counts) in every ``*.py`` under ``root``."""
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
 
 
 def last_json_line(text: str) -> dict:
@@ -163,6 +169,7 @@ def record() -> int:
             "seconds": SECONDS,
             "seed": SEED,
             "runs": RUNS,
+            "src_lines": src_lines(),
         },
         "workloads": {
             workload: summarize_runs(runs, metrics) for workload, runs in lines.items()

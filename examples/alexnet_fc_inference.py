@@ -29,7 +29,7 @@ from repro import EIEConfig, Session, build_model
 from repro.analysis.report import format_table
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
-from repro.hardware.area import chip_power_w
+from repro.hardware.area import chip_energy_j
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.generator import WorkloadBuilder
 
@@ -104,7 +104,7 @@ def compare_against_baselines() -> None:
         spec = get_benchmark(name)
         workload = builder.build(spec, config.num_pes)
         eie = workload.simulate(config)
-        eie_energy = eie.time_s * chip_power_w(config.num_pes)
+        eie_energy = chip_energy_j(config.num_pes, eie.time_s)
         row = [name, f"{eie.time_s * 1e6:.1f}"]
         for platform_name, model in platforms.items():
             dense_time = model.dense_time_s(spec, batch=1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import EIEConfig, Session
 from repro.analysis.report import format_table
-from repro.hardware.area import chip_power_w
+from repro.hardware.area import chip_energy_j
 from repro.models import MatVecNode, ModelIR
 from repro.nn.layers import sigmoid, tanh
 from repro.nn.lstm import LSTMState
@@ -128,7 +128,7 @@ def report_full_scale_latency() -> None:
         rows.append(
             [name, f"{spec.input_size} -> {spec.output_size}", stats.total_cycles,
              f"{stats.time_s * 1e6:.2f}", f"{stats.load_balance_efficiency:.0%}",
-             f"{stats.time_s * chip_power_w(config.num_pes) * 1e6:.2f}"]
+             f"{chip_energy_j(config.num_pes, stats.time_s) * 1e6:.2f}"]
         )
     print("\n=== Full-scale NeuralTalk layers on EIE (32 PEs, 800 MHz) ===")
     print(format_table(

@@ -25,15 +25,20 @@ The library implements, in pure Python + numpy:
 Quick start::
 
     import numpy as np
-    from repro import EIEAccelerator, EIEConfig
+    from repro import EIEConfig, Session
+    from repro.hardware.area import chip_energy_j
 
-    accelerator = EIEAccelerator(EIEConfig(num_pes=8))
+    config = EIEConfig(num_pes=8)
+    session = Session(config=config)
     rng = np.random.default_rng(0)
     weights = rng.normal(size=(256, 512)) * (rng.random((256, 512)) < 0.1)
-    layer = accelerator.compress_and_load(weights, name="fc")
-    result = accelerator.run(rng.random(512))[-1]
-    estimate = accelerator.estimate_layer(layer, rng.random(512))
-    print(result.output.shape, estimate.performance.time_us)
+    layer = session.compress(weights, num_pes=config.num_pes, name="fc")
+    activations = rng.random(512)
+    output = session.run("functional", layer, activations).output
+    cycles = session.run("cycle", layer, activations).stats
+    print(output.shape, cycles.time_s, chip_energy_j(config.num_pes, cycles.time_s))
+
+Whole networks are a :class:`ModelIR` run with ``Session.run_model``.
 """
 
 from repro.compression import (
@@ -49,11 +54,9 @@ from repro.compression import (
 from repro.core import (
     CycleAccurateEIE,
     CycleStats,
-    EIEAccelerator,
     EIEConfig,
     FunctionalEIE,
     FunctionalResult,
-    LayerEstimate,
 )
 from repro.engine import (
     EngineRegistry,
@@ -72,7 +75,7 @@ from repro.experiments import (
     register_experiment,
     run_experiment,
 )
-from repro.hardware import ENERGY_TABLE_45NM, EnergyModel, PEAreaModel
+from repro.hardware import ENERGY_TABLE_45NM, PEAreaModel
 from repro.models import (
     CompressedModel,
     MatVecNode,
@@ -108,10 +111,8 @@ __all__ = [
     "CycleAccurateEIE",
     "CycleStats",
     "DeepCompressor",
-    "EIEAccelerator",
     "EIEConfig",
     "ENERGY_TABLE_45NM",
-    "EnergyModel",
     "EngineRegistry",
     "EngineResult",
     "Experiment",
@@ -127,7 +128,6 @@ __all__ = [
     "HuffmanCode",
     "InterleavedCSC",
     "LSTMCell",
-    "LayerEstimate",
     "LayerSpec",
     "MatVecNode",
     "ModelIR",

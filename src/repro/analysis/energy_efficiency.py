@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
 from repro.core.config import EIEConfig
-from repro.hardware.area import chip_power_w
+from repro.hardware.area import chip_energy_j
 from repro.workloads.benchmarks import LayerSpec, resolve_spec
 from repro.workloads.generator import WorkloadBuilder
 
@@ -34,7 +34,6 @@ def layer_energies(
     mgpu = RooflinePlatform(MOBILE_GPU_TEGRA_K1)
     workload = builder.build(spec, eie_config.num_pes)
     eie_stats = workload.simulate(eie_config)
-    eie_power = chip_power_w(eie_config.num_pes)
     return {
         "CPU Dense": cpu.dense_time_s(spec, batch) * CPU_CORE_I7_5930K.power_w,
         "CPU Compressed": cpu.sparse_time_s(spec, batch) * CPU_CORE_I7_5930K.power_w,
@@ -42,5 +41,5 @@ def layer_energies(
         "GPU Compressed": gpu.sparse_time_s(spec, batch) * GPU_TITAN_X.power_w,
         "mGPU Dense": mgpu.dense_time_s(spec, batch) * MOBILE_GPU_TEGRA_K1.power_w,
         "mGPU Compressed": mgpu.sparse_time_s(spec, batch) * MOBILE_GPU_TEGRA_K1.power_w,
-        "EIE": eie_stats.time_s * eie_power,
+        "EIE": chip_energy_j(eie_config.num_pes, eie_stats.time_s),
     }

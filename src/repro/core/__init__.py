@@ -5,8 +5,8 @@ The accelerator model is split into:
 * :mod:`repro.core.config` — :class:`EIEConfig`, the hardware parameters
   (number of PEs, FIFO depth, SRAM widths/capacities, arithmetic precision,
   clock) with the paper's defaults;
-* :mod:`repro.core.activation_queue` — the per-PE activation FIFO that
-  absorbs load imbalance;
+* :mod:`repro.core.activation_queue` — :class:`QueueEntry`, one broadcast
+  item of the per-PE activation FIFO that absorbs load imbalance;
 * :mod:`repro.core.lnzd` — the quadtree of leading non-zero detectors that
   feeds non-zero input activations to the central control unit;
 * :mod:`repro.core.pe` — the functional processing element (pointer read,
@@ -17,13 +17,14 @@ The accelerator model is split into:
 * :mod:`repro.core.cycle_model` — the cycle-level performance model behind
   Figures 8 and 11-13 and the EIE rows of Table IV;
 * :mod:`repro.core.rtl` — a small two-phase (propagate/update) RTL-style
-  simulation kernel mirroring the paper's C++ simulator structure;
-* :mod:`repro.core.accelerator` — the user-facing facade combining the
-  compression pipeline, the simulators and the energy/area models.
+  simulation kernel mirroring the paper's C++ simulator structure.
+
+Users reach these models through :class:`repro.engine.Session`: compress a
+layer, then run it on the ``"functional"``, ``"cycle"`` or ``"rtl"`` engine,
+or run a whole :class:`repro.models.ModelIR` with ``Session.run_model``.
 """
 
-from repro.core.accelerator import EIEAccelerator, LayerEstimate
-from repro.core.activation_queue import ActivationQueue, QueueEntry
+from repro.core.activation_queue import QueueEntry
 from repro.core.config import EIEConfig
 from repro.core.cycle_model import CycleAccurateEIE, CycleStats, simulate_layer_cycles
 from repro.core.functional import FunctionalEIE, FunctionalResult
@@ -40,11 +41,9 @@ from repro.core.pe import ProcessingElement
 from repro.core.stats import EnergyStats, LoadBalanceStats, PerformanceStats
 
 __all__ = [
-    "ActivationQueue",
     "CycleAccurateEIE",
     "CycleStats",
     "DMAModel",
-    "EIEAccelerator",
     "EIEConfig",
     "EnergyStats",
     "LoadCost",
@@ -54,7 +53,6 @@ __all__ = [
     "FunctionalResult",
     "LNZDNode",
     "LNZDTree",
-    "LayerEstimate",
     "LoadBalanceStats",
     "PartitioningResult",
     "PerformanceStats",

@@ -1,20 +1,20 @@
-"""The per-PE activation FIFO queue.
+"""The item of the per-PE activation FIFO queue.
 
 Non-zero input activations and their column indices are broadcast by the
 central control unit into an activation queue in each PE.  The queue lets a
 PE that happens to have few non-zeros in the current column run ahead,
 absorbing the load imbalance between PEs; the broadcast stalls whenever any
 PE's queue is full.  Figure 8 of the paper sweeps the queue depth and picks 8.
+
+The RTL PE (:mod:`repro.core.rtl.pe_rtl`) holds its queue as a bounded deque
+of :class:`QueueEntry` items; the cycle model's recurrence models the depth.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
-
-__all__ = ["QueueEntry", "ActivationQueue"]
+__all__ = ["QueueEntry"]
 
 
 @dataclass(frozen=True)
@@ -23,78 +23,3 @@ class QueueEntry:
 
     column: int
     value: float
-
-
-class ActivationQueue:
-    """A bounded FIFO of :class:`QueueEntry` items with occupancy statistics."""
-
-    def __init__(self, depth: int) -> None:
-        if depth < 1:
-            raise SimulationError(f"queue depth must be >= 1, got {depth}")
-        self.depth = int(depth)
-        self._entries: deque[QueueEntry] = deque()
-        self.total_pushes = 0
-        self.total_pops = 0
-        self.full_stalls = 0
-
-    # -- state ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def is_empty(self) -> bool:
-        """True when no work is queued."""
-        return not self._entries
-
-    @property
-    def is_full(self) -> bool:
-        """True when the queue cannot accept another broadcast."""
-        return len(self._entries) >= self.depth
-
-    @property
-    def occupancy(self) -> int:
-        """Current number of queued entries."""
-        return len(self._entries)
-
-    # -- operations ----------------------------------------------------------------
-
-    def push(self, entry: QueueEntry) -> None:
-        """Enqueue a broadcast activation; raises if the queue is full."""
-        if self.is_full:
-            self.full_stalls += 1
-            raise SimulationError("activation queue overflow: broadcast while full")
-        self._entries.append(entry)
-        self.total_pushes += 1
-
-    def try_push(self, entry: QueueEntry) -> bool:
-        """Enqueue if space is available; returns whether the push happened."""
-        if self.is_full:
-            self.full_stalls += 1
-            return False
-        self._entries.append(entry)
-        self.total_pushes += 1
-        return True
-
-    def peek(self) -> QueueEntry:
-        """The entry at the head of the queue (the one being processed)."""
-        if self.is_empty:
-            raise SimulationError("cannot peek an empty activation queue")
-        return self._entries[0]
-
-    def pop(self) -> QueueEntry:
-        """Dequeue the head entry once the PE has consumed it."""
-        if self.is_empty:
-            raise SimulationError("cannot pop an empty activation queue")
-        self.total_pops += 1
-        return self._entries.popleft()
-
-    def clear(self) -> None:
-        """Drop all queued entries and reset statistics."""
-        self._entries.clear()
-        self.total_pushes = 0
-        self.total_pops = 0
-        self.full_stalls = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ActivationQueue(depth={self.depth}, occupancy={self.occupancy})"

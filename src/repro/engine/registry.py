@@ -3,8 +3,8 @@
 The registry is the one place new EIE backends plug in: implement a
 :class:`~repro.engine.base.SimulationEngine`, decorate it with
 :func:`register_engine` (or call :meth:`EngineRegistry.register`), and every
-consumer of the seam — the accelerator facade, the CLI ``run`` command and the
-analysis sweeps — can select it by name.
+consumer of the seam — ``Session.run``/``run_model``, the CLI ``run`` command
+and the analysis sweeps — can select it by name.
 
 The built-in backends are registered when :mod:`repro.engine` is imported:
 

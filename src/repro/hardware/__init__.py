@@ -10,7 +10,6 @@ and 10) and the cross-platform comparison (Table V).
 from repro.hardware.area import LNZD_UNIT, PEAreaModel, chip_area_mm2, num_lnzd_units
 from repro.hardware.energy import (
     ENERGY_TABLE_45NM,
-    EnergyModel,
     EnergyTable,
     OperationEnergy,
     multiply_energy_pj,
@@ -27,7 +26,6 @@ from repro.hardware.technology import TechnologyNode, scale_area, scale_frequenc
 
 __all__ = [
     "ENERGY_TABLE_45NM",
-    "EnergyModel",
     "EnergyTable",
     "LNZD_UNIT",
     "OperationEnergy",

@@ -4,12 +4,15 @@ The numbers reproduce Table II of the paper (implementation results of one PE
 at TSMC 45 nm, broken down by component type and by module) plus the LNZD
 unit cost quoted in Section VI, and compose them into whole-chip area and
 power for an arbitrary number of PEs (used by Table V and the 28 nm
-projection).
+projection).  :func:`chip_energy_j` is the one EIE energy rule: the chip power
+times the simulated time, as Figure 7 charges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.validation import require_positive
@@ -21,6 +24,7 @@ __all__ = [
     "num_lnzd_units",
     "chip_area_mm2",
     "chip_power_w",
+    "chip_energy_j",
 ]
 
 
@@ -188,3 +192,12 @@ def chip_power_w(num_pes: int, pe_model: PEAreaModel | None = None) -> float:
     pe_model = pe_model or PEAreaModel()
     lnzd_power_mw = num_lnzd_units(num_pes) * LNZD_UNIT.power_mw
     return (num_pes * pe_model.total_power_mw + lnzd_power_mw) / 1e3
+
+
+def chip_energy_j(num_pes: int, seconds: float | np.ndarray) -> float | np.ndarray:
+    """EIE energy in joules: ``seconds`` of simulated time at the chip power.
+
+    ``seconds`` is one time or an array of per-item times.  Figure 7,
+    whole-model runs and served responses all charge EIE through this rule.
+    """
+    return seconds * chip_power_w(num_pes)

@@ -1,18 +1,17 @@
-"""Per-operation energy models for a 45 nm CMOS process.
+"""Per-operation energies for a 45 nm CMOS process.
 
 ``ENERGY_TABLE_45NM`` reproduces Table I of the paper (energy per basic
-arithmetic and memory operation, from Horowitz's 45 nm energy table).  The
-:class:`EnergyModel` combines these unit energies with operation counts
-produced by the simulators to estimate the energy of an EIE inference or of a
-DRAM-based dense baseline, which underlies the 120x / 10x / 8x / 3x savings
-decomposition and Figure 7.
+arithmetic and memory operation, from Horowitz's 45 nm energy table).
+:func:`multiply_energy_pj` and :func:`add_energy_pj` scale it across
+arithmetic precisions for Figure 10 and the ``dse_pareto`` experiment's MAC
+energy.  EIE's own energy in Figure 7 is the Table II chip power times the
+simulated time (:func:`repro.hardware.area.chip_energy_j`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.utils.validation import require_in, require_non_negative
 
 __all__ = [
@@ -21,8 +20,6 @@ __all__ = [
     "ENERGY_TABLE_45NM",
     "multiply_energy_pj",
     "MULTIPLY_ENERGY_PJ",
-    "EnergyModel",
-    "EnergyBreakdown",
 ]
 
 
@@ -122,192 +119,3 @@ def add_energy_pj(precision: str) -> float:
         return ENERGY_TABLE_45NM.float32_add_pj
     scale = {"int32": 1.0, "int16": 0.5, "int8": 0.25}[precision]
     return ENERGY_TABLE_45NM.int32_add_pj * scale
-
-
-@dataclass
-class EnergyBreakdown:
-    """Energy of one inference broken down by source, all in picojoules."""
-
-    sram_read_pj: float = 0.0
-    dram_read_pj: float = 0.0
-    multiply_pj: float = 0.0
-    add_pj: float = 0.0
-    overhead_pj: float = 0.0
-
-    @property
-    def total_pj(self) -> float:
-        """Total energy in picojoules."""
-        return (
-            self.sram_read_pj
-            + self.dram_read_pj
-            + self.multiply_pj
-            + self.add_pj
-            + self.overhead_pj
-        )
-
-    @property
-    def total_nj(self) -> float:
-        """Total energy in nanojoules."""
-        return self.total_pj / 1e3
-
-    @property
-    def total_uj(self) -> float:
-        """Total energy in microjoules."""
-        return self.total_pj / 1e6
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        """Return a copy with every component multiplied by ``factor``."""
-        return EnergyBreakdown(
-            sram_read_pj=self.sram_read_pj * factor,
-            dram_read_pj=self.dram_read_pj * factor,
-            multiply_pj=self.multiply_pj * factor,
-            add_pj=self.add_pj * factor,
-            overhead_pj=self.overhead_pj * factor,
-        )
-
-
-@dataclass
-class EnergyModel:
-    """Combines unit energies with operation counts.
-
-    The model distinguishes where weights are fetched from (on-chip SRAM for
-    EIE, off-chip DRAM for an uncompressed baseline) and which arithmetic
-    precision is used, capturing the four energy-saving factors the paper
-    decomposes: DRAM->SRAM (120x), sparsity (10x), weight sharing (8x) and
-    activation sparsity (3x).
-
-    Attributes:
-        table: the per-operation energy table (defaults to 45 nm, Table I).
-        precision: arithmetic precision used for multiply/accumulate.
-        sram_read_pj_per_32b: energy of one 32-bit-equivalent SRAM read.
-        dram_read_pj_per_32b: energy of one 32-bit-equivalent DRAM read.
-        ecc_scheme: ECC protection on the weight SRAMs (``"none"``,
-            ``"parity"`` or ``"secded"``); protected reads fetch check bits
-            alongside the data and pay the corresponding energy factor
-            (:func:`~repro.hardware.sram.ecc_read_energy_factor`).
-    """
-
-    table: EnergyTable = field(default_factory=lambda: ENERGY_TABLE_45NM)
-    precision: str = "int16"
-    sram_read_pj_per_32b: float | None = None
-    dram_read_pj_per_32b: float | None = None
-    ecc_scheme: str = "none"
-
-    def __post_init__(self) -> None:
-        require_in("precision", self.precision, MULTIPLY_ENERGY_PJ)
-        if self.sram_read_pj_per_32b is None:
-            self.sram_read_pj_per_32b = self.table.sram32_read_pj
-        if self.dram_read_pj_per_32b is None:
-            self.dram_read_pj_per_32b = self.table.dram32_read_pj
-        from repro.reliability.ecc import ECC_SCHEMES
-
-        require_in("ecc_scheme", self.ecc_scheme, ECC_SCHEMES)
-
-    # -- elementary energies -------------------------------------------------
-
-    def mac_energy_pj(self) -> float:
-        """Energy of one multiply-accumulate at the configured precision."""
-        return multiply_energy_pj(self.precision) + add_energy_pj(self.precision)
-
-    def memory_read_energy_pj(self, bits: float, location: str) -> float:
-        """Energy of fetching ``bits`` bits from ``location`` (sram or dram).
-
-        SRAM reads pay the configured ECC scheme's read-energy factor (check
-        bits come out of the array with the data); DRAM reads are unaffected.
-        """
-        require_in("location", location, ("sram", "dram"))
-        require_non_negative("bits", bits)
-        if location == "sram":
-            from repro.hardware.sram import ecc_read_energy_factor
-
-            return (
-                self.sram_read_pj_per_32b
-                * ecc_read_energy_factor(self.ecc_scheme)
-                * bits
-                / 32.0
-            )
-        return self.dram_read_pj_per_32b * bits / 32.0
-
-    # -- composite estimates -------------------------------------------------
-
-    def matrix_vector_energy(
-        self,
-        weight_reads: int,
-        weight_bits: float,
-        activation_reads: int,
-        activation_bits: float,
-        macs: int,
-        weight_location: str = "sram",
-    ) -> EnergyBreakdown:
-        """Energy of one M x V given explicit counts.
-
-        Args:
-            weight_reads: number of weight fetches performed.
-            weight_bits: bits per weight fetch (4 for the compressed model,
-                32 for an uncompressed float baseline).
-            activation_reads: number of activation fetches.
-            activation_bits: bits per activation fetch.
-            macs: number of multiply-accumulate operations.
-            weight_location: ``"sram"`` or ``"dram"``.
-        """
-        require_non_negative("weight_reads", weight_reads)
-        require_non_negative("activation_reads", activation_reads)
-        require_non_negative("macs", macs)
-        weight_energy = weight_reads * self.memory_read_energy_pj(weight_bits, weight_location)
-        act_energy = activation_reads * self.memory_read_energy_pj(activation_bits, "sram")
-        breakdown = EnergyBreakdown(
-            multiply_pj=macs * multiply_energy_pj(self.precision),
-            add_pj=macs * add_energy_pj(self.precision),
-        )
-        if weight_location == "sram":
-            breakdown.sram_read_pj = weight_energy + act_energy
-        else:
-            breakdown.dram_read_pj = weight_energy
-            breakdown.sram_read_pj = act_energy
-        return breakdown
-
-    def dense_baseline_energy(self, rows: int, cols: int, precision: str = "float32") -> EnergyBreakdown:
-        """Energy of an uncompressed dense M x V with weights fetched from DRAM.
-
-        This is the reference the paper's 120x / 10x / 8x / 3x factors are
-        measured against: every one of ``rows * cols`` weights is a 32-bit
-        DRAM fetch and a float MAC.
-        """
-        macs = int(rows) * int(cols)
-        weight_energy = macs * self.memory_read_energy_pj(32, "dram")
-        act_energy = macs * self.memory_read_energy_pj(32, "sram")
-        return EnergyBreakdown(
-            dram_read_pj=weight_energy,
-            sram_read_pj=act_energy,
-            multiply_pj=macs * multiply_energy_pj(precision),
-            add_pj=macs * add_energy_pj(precision),
-        )
-
-    def theoretical_saving_factors(
-        self,
-        weight_density: float,
-        activation_density: float,
-        weight_bits: int = 4,
-    ) -> dict[str, float]:
-        """The paper's multiplicative energy-saving decomposition.
-
-        Returns a dict with the four factors (``dram_to_sram``, ``sparsity``,
-        ``weight_sharing``, ``activation_sparsity``) and their product
-        (``total``).  With the paper's typical numbers (10% weights, 4-bit
-        weights, 30% activations) this reproduces 120 x 10 x 8 x 3 = 28,800.
-        """
-        if not 0 < weight_density <= 1 or not 0 < activation_density <= 1:
-            raise ConfigurationError("densities must be in (0, 1]")
-        factors = {
-            "dram_to_sram": self.dram_read_pj_per_32b / self.sram_read_pj_per_32b,
-            "sparsity": 1.0 / weight_density,
-            "weight_sharing": 32.0 / weight_bits,
-            "activation_sparsity": 1.0 / activation_density,
-        }
-        factors["total"] = (
-            factors["dram_to_sram"]
-            * factors["sparsity"]
-            * factors["weight_sharing"]
-            * factors["activation_sparsity"]
-        )
-        return factors

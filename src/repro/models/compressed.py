@@ -22,7 +22,7 @@ from repro.compression.pipeline import CompressedLayer
 from repro.core.cycle_model import CycleStats
 from repro.engine.base import EngineResult
 from repro.errors import SimulationError
-from repro.hardware.area import chip_power_w
+from repro.hardware.area import chip_energy_j
 from repro.models.ir import ModelIR
 from repro.nn.reference import sparse_density
 
@@ -222,7 +222,7 @@ class ModelRunResult:
     @property
     def energy_j(self) -> float:
         """Batch energy in joules: latency times the chip power for ``num_pes``."""
-        return self.latency_s * chip_power_w(self.num_pes)
+        return chip_energy_j(self.num_pes, self.latency_s)
 
     def _require_timing(self) -> None:
         if not self.has_timing:

@@ -45,7 +45,7 @@ from repro.errors import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from repro.hardware.area import chip_power_w
+from repro.hardware.area import chip_energy_j
 
 __all__ = ["BatchPolicy", "ServeResponse", "Server"]
 
@@ -468,7 +468,7 @@ class Server:
 
         if run.has_timing:
             per_item_latency = run.per_item_latency_s
-            power_w = chip_power_w(self.config.num_pes)
+            per_item_energy = chip_energy_j(self.config.num_pes, per_item_latency)
             per_item_cycles = np.zeros(len(batch), dtype=np.int64)
             for record in run.nodes:
                 per_item_cycles += np.asarray(
@@ -482,7 +482,7 @@ class Server:
             if run.has_timing:
                 cycles = int(per_item_cycles[index])
                 latency = float(per_item_latency[index])
-                energy = latency * power_w
+                energy = float(per_item_energy[index])
             else:
                 cycles = latency = energy = None
             pending.future.set_result(

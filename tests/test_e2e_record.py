@@ -104,3 +104,11 @@ def test_last_json_line_skips_the_report():
     assert e2e_record.last_json_line(text) == {"correct": True}
     with pytest.raises(ValueError):
         e2e_record.last_json_line("no json here\n")
+
+
+def test_src_lines_counts_python_files_only(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "top.py").write_text("a = 1\nb = 2\n")
+    (tmp_path / "pkg" / "mod.py").write_text("\n\nc = 3\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    assert e2e_record.src_lines(tmp_path) == 5

@@ -1,9 +1,15 @@
-"""Tests for the Table II area/power breakdown and the LNZD accounting."""
+"""Tests for the Table II area/power breakdown, the LNZD accounting and EIE energy."""
 
 from __future__ import annotations
 
+import asyncio
+
+import numpy as np
 import pytest
 
+from repro.analysis.energy_efficiency import layer_energies
+from repro.core.config import EIEConfig
+from repro.engine.session import Session
 from repro.errors import ConfigurationError
 from repro.hardware.area import (
     LNZD_UNIT,
@@ -11,9 +17,15 @@ from repro.hardware.area import (
     PE_TOTAL_POWER_MW,
     PEAreaModel,
     chip_area_mm2,
+    chip_energy_j,
     chip_power_w,
     num_lnzd_units,
 )
+from repro.experiments import run_experiment
+from repro.models import build_model, synthetic_model_inputs
+from repro.serve import Server
+from repro.workloads.benchmarks import scaled_benchmarks
+from repro.workloads.generator import WorkloadBuilder
 
 
 class TestPEAreaModel:
@@ -83,3 +95,32 @@ class TestChipTotals:
     def test_single_pe(self):
         assert chip_area_mm2(1) == pytest.approx(0.638, rel=0.02)
         assert chip_power_w(1) == pytest.approx(0.00918, rel=0.02)
+
+
+class TestChipEnergy:
+    """EIE's one energy rule, and the energies it gives pinned bit for bit."""
+
+    def test_per_item_array_matches_scalar_calls(self):
+        seconds = np.array([1e-6, 2.5e-6, 0.0])
+        energies = chip_energy_j(64, seconds)
+        assert energies.shape == seconds.shape
+        assert [float(e) for e in energies] == [chip_energy_j(64, float(s)) for s in seconds]
+
+    def test_fig7_eie_alex7_at_scale_64(self):
+        spec = scaled_benchmarks(64.0)["Alex-7"]
+        assert layer_energies(spec, WorkloadBuilder(), EIEConfig())["EIE"] == 1.393163125e-08
+        result = run_experiment("fig7_energy_efficiency", scale=64, workloads=["Alex-7"])
+        assert result.records[0]["EIE"] == 4292.505229780611
+
+    def test_run_model_and_served_energy(self):
+        config = EIEConfig(num_pes=8)
+        model = build_model("neuraltalk_lstm", scale=32)
+        inputs = synthetic_model_inputs(model, batch=1, seed=0)
+        run = Session(config=config).run_model("cycle", model, inputs[0], config)
+        assert run.energy_j == 1.4208268750000004e-08
+
+        async def serve_one():
+            async with Server([model], config=config) as server:
+                return await server.submit(model.name, inputs[0])
+
+        assert asyncio.run(serve_one()).energy_j == 1.4208268750000004e-08

@@ -1,4 +1,4 @@
-"""Tests for the Table I energy table and the EnergyModel."""
+"""Tests for the Table I energy table and the per-precision arithmetic energies."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hardware.energy import (
     ENERGY_TABLE_45NM,
-    EnergyBreakdown,
-    EnergyModel,
     add_energy_pj,
     multiply_energy_pj,
 )
@@ -61,62 +59,3 @@ class TestMultiplyEnergy:
 
     def test_add_energy_scales_down(self):
         assert add_energy_pj("int16") < add_energy_pj("int32") < add_energy_pj("float32")
-
-
-class TestEnergyBreakdown:
-    def test_total_sums_components(self):
-        breakdown = EnergyBreakdown(sram_read_pj=1.0, dram_read_pj=2.0, multiply_pj=3.0, add_pj=4.0)
-        assert breakdown.total_pj == pytest.approx(10.0)
-        assert breakdown.total_nj == pytest.approx(0.01)
-
-    def test_scaled(self):
-        breakdown = EnergyBreakdown(sram_read_pj=1.0, multiply_pj=2.0)
-        doubled = breakdown.scaled(2.0)
-        assert doubled.total_pj == pytest.approx(6.0)
-
-
-class TestEnergyModel:
-    def test_dense_baseline_dominated_by_dram(self):
-        model = EnergyModel(precision="float32")
-        breakdown = model.dense_baseline_energy(rows=100, cols=100)
-        assert breakdown.dram_read_pj > 0.8 * breakdown.total_pj
-
-    def test_compressed_sram_cheaper_than_dense_dram(self):
-        model = EnergyModel(precision="int16")
-        dense = model.dense_baseline_energy(rows=200, cols=200)
-        compressed = model.matrix_vector_energy(
-            weight_reads=int(200 * 200 * 0.1),
-            weight_bits=8,
-            activation_reads=int(200 * 0.3),
-            activation_bits=16,
-            macs=int(200 * 200 * 0.1 * 0.3),
-            weight_location="sram",
-        )
-        assert compressed.total_pj < dense.total_pj / 100
-
-    def test_theoretical_saving_factors_match_paper_decomposition(self):
-        model = EnergyModel()
-        factors = model.theoretical_saving_factors(weight_density=0.1, activation_density=1 / 3)
-        assert factors["sparsity"] == pytest.approx(10.0)
-        assert factors["weight_sharing"] == pytest.approx(8.0)
-        assert factors["activation_sparsity"] == pytest.approx(3.0)
-        assert factors["dram_to_sram"] == pytest.approx(128.0)
-        # The paper rounds the product to ~28,800x.
-        assert 25_000 < factors["total"] < 32_000
-
-    def test_invalid_density_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnergyModel().theoretical_saving_factors(weight_density=0.0, activation_density=0.5)
-
-    def test_memory_read_energy_scales_with_bits(self):
-        model = EnergyModel()
-        assert model.memory_read_energy_pj(64, "sram") == pytest.approx(
-            2 * model.memory_read_energy_pj(32, "sram")
-        )
-
-    def test_invalid_location_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnergyModel().memory_read_energy_pj(32, "flash")
-
-    def test_mac_energy_positive(self):
-        assert EnergyModel(precision="int16").mac_energy_pj() > 0

@@ -8,8 +8,10 @@ import pytest
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K
 from repro.compression import CompressionConfig, DeepCompressor
-from repro.core import CycleAccurateEIE, EIEAccelerator, EIEConfig, FunctionalEIE
-from repro.hardware.area import chip_power_w
+from repro.core import CycleAccurateEIE, EIEConfig, FunctionalEIE
+from repro.engine.session import Session
+from repro.hardware.area import chip_energy_j
+from repro.models.ir import ModelIR
 from repro.nn.layers import FullyConnectedLayer
 from repro.nn.model import FeedForwardNetwork
 from repro.workloads.benchmarks import get_benchmark
@@ -26,38 +28,44 @@ class TestCompressedNetworkEndToEnd:
         return build_alexnet_fc_network(scale=96)
 
     @pytest.fixture(scope="class")
-    def accelerator(self, network):
-        config = EIEConfig(num_pes=8)
-        accelerator = EIEAccelerator(config, CompressionConfig())
-        for layer in network.layers:
-            accelerator.compress_and_load(layer.weight, name=layer.name,
-                                          activation_name=layer.activation)
-        return accelerator
+    def model(self, network):
+        return ModelIR.from_network(network)
 
-    def test_eie_matches_compressed_software_network(self, network, accelerator):
+    @pytest.fixture(scope="class")
+    def session(self):
+        return Session(CompressionConfig(), config=EIEConfig(num_pes=8))
+
+    def test_eie_matches_compressed_software_network(self, network, model, session):
         rng = np.random.default_rng(11)
         inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
+        run = session.run_model("functional", model, inputs)
         # The software reference runs the *decoded* compressed weights.
         reference = inputs
-        for compressed, layer in zip(accelerator.layers, network.layers):
-            pre = compressed.dense_weights() @ reference
+        for record, layer in zip(run.nodes, network.layers):
+            pre = record.layer.dense_weights() @ reference
             reference = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-        results = accelerator.run(inputs)
-        assert np.allclose(results[-1].output, reference)
+        assert np.allclose(run.nodes[-1].result.output, reference)
+        assert np.allclose(run.outputs[0], reference)
 
-    def test_relu_sparsity_reduces_downstream_work(self, accelerator, network):
+    def test_relu_sparsity_reduces_downstream_work(self, network, model, session):
         rng = np.random.default_rng(12)
         inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
-        results = accelerator.run(inputs)
-        # The second layer must broadcast no more activations than the first
-        # layer produced non-zero outputs.
-        assert results[1].broadcasts == np.count_nonzero(results[0].output)
+        run = session.run_model("functional", model, inputs)
+        # The second layer must broadcast exactly the non-zero outputs the
+        # first layer's ReLU left.
+        first, second = run.nodes[0], run.nodes[1]
+        assert second.result.functional[0].broadcasts == np.count_nonzero(
+            run.node_outputs[first.name]
+        )
+        assert second.result.functional[0].broadcasts == np.count_nonzero(
+            first.result.output
+        )
 
-    def test_compression_accuracy_close_to_dense(self, network, accelerator):
+    def test_compression_accuracy_close_to_dense(self, network, model, session):
         rng = np.random.default_rng(13)
         inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
         dense_out = network.forward(inputs)
-        eie_out = accelerator.run(inputs)[-1].output
+        eie_out = session.run_model("functional", model, inputs).nodes[-1].result.output
         # Weight sharing introduces bounded error; outputs stay correlated.
         if np.linalg.norm(dense_out) > 0:
             correlation = float(
@@ -96,7 +104,7 @@ class TestBenchmarkPipelineSmallScale:
         workload = WorkloadBuilder().build(spec, config.num_pes)
         eie_time = workload.simulate(config).time_s
         cpu_time = RooflinePlatform(CPU_CORE_I7_5930K).dense_time_s(spec, batch=1)
-        eie_energy = eie_time * chip_power_w(config.num_pes)
+        eie_energy = chip_energy_j(config.num_pes, eie_time)
         cpu_energy = cpu_time * CPU_CORE_I7_5930K.power_w
         assert cpu_energy / eie_energy > cpu_time / eie_time
 
@@ -106,13 +114,15 @@ class TestMultiLayerNetworkConsistency:
         weights1 = rng.normal(size=(32, 48)) * (rng.random((32, 48)) < 0.2)
         weights2 = rng.normal(size=(16, 32)) * (rng.random((16, 32)) < 0.2)
         weights1[0, 0] = weights2[0, 0] = 0.3
+        model = ModelIR.from_network(FeedForwardNetwork([
+            FullyConnectedLayer(weight=weights1, name="fc1"),
+            FullyConnectedLayer(weight=weights2, name="fc2"),
+        ]))
         inputs = rng.uniform(0, 1, size=48)
         outputs = []
         for num_pes in (1, 2, 8):
-            accelerator = EIEAccelerator(EIEConfig(num_pes=num_pes))
-            accelerator.compress_and_load(weights1, name="fc1")
-            accelerator.compress_and_load(weights2, name="fc2")
-            outputs.append(accelerator.run(inputs)[-1].output)
+            session = Session(config=EIEConfig(num_pes=num_pes))
+            outputs.append(session.run_model("functional", model, inputs).nodes[-1].result.output)
         assert np.allclose(outputs[0], outputs[1])
         assert np.allclose(outputs[0], outputs[2])
 
@@ -126,10 +136,9 @@ class TestMultiLayerNetworkConsistency:
         for layer in layers:
             layer.weight[0, 0] = 0.4
         network = FeedForwardNetwork(layers)
-        accelerator = EIEAccelerator(EIEConfig(num_pes=4))
-        for layer in network.layers:
-            accelerator.compress_and_load(layer.weight, name=layer.name,
-                                          activation_name=layer.activation)
-        assert len(accelerator.layers) == len(network.layers)
-        assert accelerator.layers[0].cols == network.input_size
-        assert accelerator.layers[-1].rows == network.output_size
+        compressed = Session().compress_model(ModelIR.from_network(network), num_pes=4)
+        loaded = [compressed.layer(node.name) for node in compressed.model]
+        assert len(loaded) == len(network.layers)
+        assert loaded[0].cols == network.input_size
+        assert loaded[-1].rows == network.output_size
+        assert [layer.activation_name for layer in loaded] == ["relu", "identity"]
