@@ -8,7 +8,7 @@ batched, cached simulation:
    compressed once and shared by everything below);
 2. run a 64-vector batch through the ``"functional"`` and ``"cycle"``
    backends with a single ``run`` call each, and compare the batched cycle
-   path against sequential single-vector simulation;
+   path against one ``run`` call per vector;
 3. sweep the FIFO depth reusing the one prepared layer (the session's
    prepared-layer cache makes every depth point a pure recurrence run);
 4. cross-check a few vectors on the ``"rtl"`` backend.
@@ -27,7 +27,6 @@ import numpy as np
 from repro import EIEConfig, EngineRegistry, Session
 from repro.analysis.report import format_table
 from repro.compression import CompressionConfig
-from repro.core.cycle_model import CycleAccurateEIE
 
 _SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1"))
 ROWS = COLS = max(128, int(round(1024 / _SCALE)))
@@ -57,12 +56,11 @@ def main() -> None:
     print(f"matches dense reference  : {np.allclose(functional.outputs, reference)}")
 
     # -- batched cycle simulation vs sequential ----------------------------------
-    legacy = CycleAccurateEIE(config)
+    session.run("cycle", layer, batch[:2])  # warm the prepared-layer cache
     start = time.perf_counter()
-    sequential = [legacy.simulate_layer(layer, row) for row in batch]
+    sequential = [session.run("cycle", layer, row).stats for row in batch]
     sequential_s = time.perf_counter() - start
 
-    session.run("cycle", layer, batch[:2])  # warm the prepared-layer cache
     start = time.perf_counter()
     batched = session.run("cycle", layer, batch)
     batched_s = time.perf_counter() - start

@@ -52,7 +52,6 @@ from repro.compression import (
     prune_to_density,
 )
 from repro.core import (
-    CycleAccurateEIE,
     CycleStats,
     EIEConfig,
     FunctionalEIE,
@@ -108,7 +107,6 @@ __all__ = [
     "CompressedLayer",
     "CompressedModel",
     "CompressionConfig",
-    "CycleAccurateEIE",
     "CycleStats",
     "DeepCompressor",
     "EIEConfig",

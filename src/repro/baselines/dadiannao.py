@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.stats import EnergyStats, PerformanceStats
+from repro.core.stats import PerformanceStats
 from repro.workloads.benchmarks import LayerSpec
 
 __all__ = ["DaDianNaoModel"]
@@ -36,7 +36,6 @@ class DaDianNaoModel:
     technology_nm: int = 28
     clock_mhz: float = 606.0
     power_w: float = 15.97
-    memory_power_w: float = 6.12
     area_mm2: float = 67.7
     max_model_params: float = 18e6
     bandwidth_gbs: float = _PEAK_BANDWIDTH_GBS
@@ -55,15 +54,6 @@ class DaDianNaoModel:
             macs_performed=layer.dense_weights,
             dense_macs=layer.dense_weights,
             clock_hz=self.clock_mhz * 1e6,
-        )
-
-    def energy(self, layer: LayerSpec) -> EnergyStats:
-        """Energy of one frame at the platform's rated power."""
-        time_s = self.dense_time_s(layer)
-        return EnergyStats(
-            energy_j=time_s * self.power_w,
-            power_w=self.power_w,
-            breakdown={"edram": time_s * self.memory_power_w},
         )
 
     def frames_per_second(self, layer: LayerSpec) -> float:

@@ -1,4 +1,4 @@
-"""Roofline timing/energy model for the CPU, GPU and mobile-GPU baselines.
+"""Roofline timing model for the CPU, GPU and mobile-GPU baselines.
 
 For a fully-connected layer ``b = W a`` with ``R x C`` weights:
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.specs import PlatformSpec
-from repro.core.stats import EnergyStats, PerformanceStats
+from repro.core.stats import PerformanceStats
 from repro.errors import ConfigurationError
 from repro.workloads.benchmarks import LayerSpec
 
@@ -47,7 +47,7 @@ class RooflineSpec:
 
 
 class RooflinePlatform:
-    """Analytic latency/energy model of one off-the-shelf platform."""
+    """Analytic latency model of one off-the-shelf platform."""
 
     def __init__(self, spec: PlatformSpec) -> None:
         self.spec = spec
@@ -79,7 +79,7 @@ class RooflinePlatform:
             return self.sparse_time_s(layer, batch)
         return self.dense_time_s(layer, batch)
 
-    # -- performance / energy -----------------------------------------------------------
+    # -- performance --------------------------------------------------------------
 
     def performance(self, layer: LayerSpec, compressed: bool, batch: int = 1) -> PerformanceStats:
         """Performance record for one frame of ``layer``."""
@@ -94,15 +94,6 @@ class RooflinePlatform:
             macs_performed=macs,
             dense_macs=layer.dense_weights,
             clock_hz=self.spec.clock_mhz * 1e6,
-        )
-
-    def energy(self, layer: LayerSpec, compressed: bool, batch: int = 1) -> EnergyStats:
-        """Energy of one frame: platform power times per-frame time."""
-        time_s = self.time_s(layer, compressed, batch)
-        return EnergyStats(
-            energy_j=time_s * self.spec.power_w,
-            power_w=self.spec.power_w,
-            breakdown={"platform_power": time_s * self.spec.power_w},
         )
 
     @staticmethod

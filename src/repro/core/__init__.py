@@ -26,7 +26,7 @@ or run a whole :class:`repro.models.ModelIR` with ``Session.run_model``.
 
 from repro.core.activation_queue import QueueEntry
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE, CycleStats, simulate_layer_cycles
+from repro.core.cycle_model import CycleStats, simulate_layer_cycles
 from repro.core.functional import FunctionalEIE, FunctionalResult
 from repro.core.io_model import DMAModel, LoadCost, activation_batches, activation_sram_overhead_cycles
 from repro.core.lnzd import LNZDNode, LNZDTree
@@ -38,14 +38,12 @@ from repro.core.partitioning import (
     simulate_row_interleaved,
 )
 from repro.core.pe import ProcessingElement
-from repro.core.stats import EnergyStats, LoadBalanceStats, PerformanceStats
+from repro.core.stats import LoadBalanceStats, PerformanceStats
 
 __all__ = [
-    "CycleAccurateEIE",
     "CycleStats",
     "DMAModel",
     "EIEConfig",
-    "EnergyStats",
     "LoadCost",
     "activation_batches",
     "activation_sram_overhead_cycles",

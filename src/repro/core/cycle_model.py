@@ -23,22 +23,19 @@ Table III layers for every design-space sweep in the paper (Figures 8 and
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.compression.pipeline import CompressedLayer
-from repro.core.config import EIEConfig
 from repro.core.stats import LoadBalanceStats, PerformanceStats
 from repro.errors import SimulationError
-from repro.utils.validation import require_vector
 
 __all__ = [
     "CycleStats",
     "layer_work_matrices",
     "simulate_layer_cycles",
     "simulate_layer_cycles_batch",
-    "CycleAccurateEIE",
 ]
 
 
@@ -129,12 +126,11 @@ def layer_work_matrices(layer: CompressedLayer) -> tuple[np.ndarray, np.ndarray]
     ``counts[p, j]`` is the number of encoded entries PE ``p`` must retire
     when column ``j`` is broadcast, and ``padding[p, j]`` how many of those
     are padding zeros.  This is the layer-dependent (but activation- and
-    configuration-independent) half of the cycle model, shared by
-    :class:`CycleAccurateEIE` and the ``"cycle"`` engine adapter so a layer
-    only pays the extraction cost once per preparation.  Both matrices come
-    from one bincount over flat (PE, column) ids covering every stored entry
-    (no per-PE Python loop) and are cached read-only on the storage, so
-    repeated simulations of the same layer skip the extraction entirely.
+    configuration-independent) half of the cycle model, which the ``"cycle"``
+    engine adapter extracts once per preparation.  Both matrices come from
+    one bincount over flat (PE, column) ids covering every stored entry (no
+    per-PE Python loop) and are cached read-only on the storage, so repeated
+    simulations of the same layer skip the extraction entirely.
     """
     return layer.storage.entries_per_pe_column(), layer.storage.padding_per_pe_column()
 
@@ -366,8 +362,10 @@ def simulate_layer_cycles_batch(
     Semantically identical to calling :func:`simulate_layer_cycles` on each
     ``works[i]`` (the engine parity tests pin this element-wise): both paths
     share :func:`_blocked_recurrence_totals`.  The items are packed into one
-    ``(batch, num_pes, max_broadcasts)`` tensor and the recurrence advances
-    every batch item one FIFO-depth-sized block of broadcasts at a time.
+    ``(max_broadcasts, batch, lanes)`` tensor, one lane per PE with work in
+    some item, and the recurrence advances every batch item one
+    FIFO-depth-sized block of broadcasts at a time.  ``busy_cycles``,
+    ``num_pes`` and ``theoretical_cycles`` still count every PE.
 
     Args:
         works: per-item work matrices, all with the same ``num_pes`` rows.
@@ -410,15 +408,24 @@ def simulate_layer_cycles_batch(
     batch = len(arrays)
     lengths = np.asarray([work.shape[1] for work in arrays], dtype=np.int64)
     max_broadcasts = int(lengths.max())
-    packed = np.zeros((max_broadcasts, batch, num_pes), dtype=np.int64)
+    busies = np.stack([work.sum(axis=1) for work in arrays])
+    busies.setflags(write=False)
+    active = busies.any(axis=0)
+    if not active.all():
+        # Only PEs with work in some item get a lane.  An idle PE finishes
+        # every broadcast the cycle it arrives (done[p, b] = t_b), so it
+        # never raises the slowest-PE completion M_b the backpressure reads;
+        # dropping it is exact.  One lane always stays, so an all-idle batch
+        # still yields t_b.
+        keep = np.flatnonzero(active) if active.any() else [0]
+        arrays = [work[keep] for work in arrays]
+    packed = np.zeros((max_broadcasts, batch, arrays[0].shape[0]), dtype=np.int64)
     for index, work in enumerate(arrays):
         packed[: work.shape[1], index, :] = work.T
     totals = _blocked_recurrence_totals(packed, lengths, fifo_depth)
 
     results: list[CycleStats] = []
-    for index, work in enumerate(arrays):
-        busy = work.sum(axis=1)
-        busy.setflags(write=False)
+    for index, busy in enumerate(busies):
         entries_total = int(busy.sum())
         num_broadcasts = int(lengths[index])
         results.append(
@@ -435,57 +442,3 @@ def simulate_layer_cycles_batch(
             )
         )
     return results
-
-
-class CycleAccurateEIE:
-    """Cycle-level simulator facade operating on compressed layers.
-
-    For explicitly compressed layers (:class:`CompressedLayer`) the per-PE,
-    per-column work counts are extracted from the interleaved CSC storage; the
-    synthetic full-size workloads in :mod:`repro.workloads` provide the work
-    matrices directly (see :class:`repro.workloads.generator.LayerWorkload`).
-    """
-
-    def __init__(self, config: EIEConfig | None = None) -> None:
-        self.config = config or EIEConfig()
-
-    def simulate_layer(
-        self,
-        layer: CompressedLayer,
-        activations: np.ndarray,
-    ) -> CycleStats:
-        """Simulate the timing of running ``layer`` on ``activations``."""
-        if layer.num_pes != self.config.num_pes:
-            raise SimulationError(
-                f"layer is interleaved over {layer.num_pes} PEs but the configuration "
-                f"has {self.config.num_pes}"
-            )
-        activations = np.asarray(require_vector("activations", activations), dtype=np.float64)
-        if activations.shape[0] != layer.cols:
-            raise SimulationError(
-                f"activation length {activations.shape[0]} does not match layer "
-                f"input size {layer.cols}"
-            )
-        nonzero_columns = np.nonzero(activations)[0]
-        counts, padding = layer_work_matrices(layer)
-        work = counts[:, nonzero_columns]
-        padding_work = padding[:, nonzero_columns]
-        return simulate_layer_cycles(
-            work=work,
-            fifo_depth=self.config.fifo_depth,
-            padding_work=padding_work,
-            clock_mhz=self.config.clock_mhz,
-        )
-
-    def simulate_work_matrix(
-        self,
-        work: np.ndarray,
-        padding_work: np.ndarray | None = None,
-    ) -> CycleStats:
-        """Simulate the timing for an explicit work matrix."""
-        return simulate_layer_cycles(
-            work=work,
-            fifo_depth=self.config.fifo_depth,
-            padding_work=padding_work,
-            clock_mhz=self.config.clock_mhz,
-        )

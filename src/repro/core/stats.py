@@ -1,18 +1,18 @@
 """Statistics containers shared by the EIE simulators.
 
-The containers separate three concerns: load balance (Figures 8 and 13),
-performance (cycle counts, wall-clock, throughput, Figure 11 / Table IV), and
-energy (Figure 7 / Table V).  They are plain dataclasses so they can be
-assembled by any of the simulators and consumed by the analysis layer.
+The containers separate two concerns: load balance (Figures 8 and 13) and
+performance (cycle counts, wall-clock, throughput, Figure 11 / Table IV).
+They are plain dataclasses so they can be assembled by any of the simulators
+and consumed by the analysis layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LoadBalanceStats", "PerformanceStats", "EnergyStats"]
+__all__ = ["LoadBalanceStats", "PerformanceStats"]
 
 
 @dataclass
@@ -108,34 +108,3 @@ class PerformanceStats:
         if self.time_s <= 0:
             return 0.0
         return 1.0 / self.time_s
-
-
-@dataclass
-class EnergyStats:
-    """Energy summary for one layer on one platform.
-
-    Attributes:
-        energy_j: energy in joules for one inference of the layer.
-        power_w: average power of the platform while computing.
-        breakdown: optional named contributions in joules.
-    """
-
-    energy_j: float
-    power_w: float
-    breakdown: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def energy_uj(self) -> float:
-        """Energy in microjoules."""
-        return self.energy_j * 1e6
-
-    @property
-    def energy_nj(self) -> float:
-        """Energy in nanojoules."""
-        return self.energy_j * 1e9
-
-    def frames_per_joule(self) -> float:
-        """Inferences per joule (the efficiency metric of Table V)."""
-        if self.energy_j <= 0:
-            return 0.0
-        return 1.0 / self.energy_j

@@ -8,12 +8,17 @@ identical to direct use of that class (the parity test suite pins this):
   layer's entries with their shared weights once; ``run`` accumulates a whole
   batch with one ordered scatter-add and derives the access counters from
   the per-(PE, column) entry counts.
-* :class:`CycleEngine` — wraps the timing kernel behind
-  :class:`~repro.core.cycle_model.CycleAccurateEIE`.  ``prepare`` extracts
-  the per-(PE, column) work/padding matrices once per layer; a batched
-  ``run`` simulates each distinct broadcast set (non-zero mask) once and
-  gathers the work columns of those sets with a single NumPy fancy-index
-  into the prepared matrices (one CSC column-gather per layer).
+* :class:`CycleEngine` — wraps the broadcast/FIFO recurrence of
+  :mod:`repro.core.cycle_model`.  ``prepare`` extracts the per-(PE, column)
+  work/padding matrices once per layer.  ``run`` has one columns path for
+  any batch size: it simulates each distinct broadcast set (non-zero mask)
+  once and gathers the work columns of those sets with a single NumPy
+  fancy-index into the prepared matrices (one CSC column-gather per layer).
+  ``run`` also takes a tuple of sibling layers that read one input (the
+  four gates of a per-gate LSTM): one mask dedup serves the group, and every
+  (layer, mask) pair is an independent item of one
+  :func:`~repro.core.cycle_model.simulate_layer_cycles_batch` call, which
+  packs only the PE lanes that have work in some item.
 * :class:`RTLEngine` — wraps :func:`~repro.core.rtl.pe_rtl.run_pe_rtl`,
   driving one two-phase RTL PE model per array slot through the broadcast
   schedule and reassembling the interleaved outputs.
@@ -113,16 +118,17 @@ class FunctionalEngine(SimulationEngine):
 class CycleEngine(SimulationEngine):
     """Broadcast/FIFO timing model behind the engine seam.
 
-    The expensive, layer-dependent half of the legacy
-    :meth:`CycleAccurateEIE.simulate_layer` — extracting the per-(PE, column)
-    entry and padding counts from the interleaved CSC storage — happens once
-    in ``prepare``.  ``run`` then only gathers the broadcast columns and runs
-    the timing recurrence.  A batch's items that share a non-zero mask share
-    one recurrence and one (read-only) :class:`CycleStats`: the timing never
-    depends on activation values, only on which columns are broadcast.
+    The expensive, layer-dependent half of the timing model — extracting the
+    per-(PE, column) entry and padding counts from the interleaved CSC
+    storage — happens once in ``prepare``.  ``run`` then only gathers the
+    broadcast columns and runs the timing recurrence.  A batch's items that
+    share a non-zero mask share one recurrence and one (read-only)
+    :class:`CycleStats`: the timing never depends on activation values, only
+    on which columns are broadcast.
     """
 
     name = "cycle"
+    runs_siblings = True
 
     def prepare_token(self) -> tuple:
         # Work matrices depend on the interleaving (PE count) only, so one
@@ -172,79 +178,89 @@ class CycleEngine(SimulationEngine):
             cache_token=self.prepare_token(),
         )
 
-    def run(self, prepared: PreparedLayer, activations: np.ndarray | None = None) -> EngineResult:
-        self._check_prepared(prepared)
-        kind, counts, padding = prepared.payload[:3]
+    def run(
+        self,
+        prepared: PreparedLayer | tuple[PreparedLayer, ...],
+        activations: np.ndarray | None = None,
+    ) -> EngineResult:
+        """Time one vector or batch; ``prepared`` may be a tuple of siblings.
+
+        Sibling layers read the same input, so they share its broadcast
+        sets: one mask dedup serves them all, and their work matrices run as
+        independent items of one recurrence call.  The result's ``cycles``
+        then hold ``batch_size`` records per layer, layer by layer.
+        """
+        group = prepared if isinstance(prepared, tuple) else (prepared,)
+        for layer in group:
+            self._check_prepared(layer)
+        kinds = {layer.payload[0] for layer in group}
         if activations is None:
-            if kind != "schedule":
+            if kinds != {"schedule"} or len(group) > 1:
                 raise SimulationError(
                     f"engine {self.name!r} needs activations unless the prepared layer "
                     "carries its own broadcast schedule (a LayerWorkload)"
                 )
+            _, work, padding = group[0].payload
             stats = simulate_layer_cycles(
-                work=counts,
+                work=work,
                 fifo_depth=self.config.fifo_depth,
                 padding_work=padding,
                 clock_mhz=self.config.clock_mhz,
                 assume_valid=True,
             )
             return EngineResult(engine=self.name, batch_size=1, batched=False, cycles=(stats,))
-        if kind == "schedule":
+        if "schedule" in kinds:
             raise SimulationError(
                 "this prepared layer is pre-sliced to its workload's schedule and "
                 "cannot run arbitrary activations; prepare a CompressedLayer instead"
             )
-        matrix, batched = self._as_batch(prepared, activations)
-        if matrix.shape[0] == 1:
-            column_ids = np.nonzero(matrix[0])[0]
-            stats = (
-                simulate_layer_cycles(
-                    work=counts[:, column_ids],
-                    fifo_depth=self.config.fifo_depth,
-                    padding_work=padding[:, column_ids],
-                    clock_mhz=self.config.clock_mhz,
-                    assume_valid=True,
-                ),
-            )
-        else:
-            # Timing depends only on which activations are non-zero (the
-            # broadcast set), never on their values, so each distinct mask
-            # is simulated once and its CycleStats shared by every item
-            # with that mask.  Rows are packed to bytes so np.unique sorts
-            # one opaque key per row: np.unique(axis=0) on the boolean
-            # matrix compares rows field by field and costs ~0.5 ms for a
-            # 16 x 76 batch (one Xeon core), more than the recurrence it
-            # saves.
-            packed = np.ascontiguousarray(np.packbits(matrix != 0, axis=1))
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            # One column-gather for the distinct masks: concatenate their
-            # non-zero columns, fancy-index the prepared matrices once, then
-            # cut the gathered block back into per-mask spans.
-            mask_ids, column_ids = np.nonzero(matrix[first])
-            gathered_work = counts[:, column_ids]
-            boundaries = np.searchsorted(mask_ids, np.arange(first.shape[0] + 1))
+        if len({layer.cols for layer in group}) != 1:
+            raise SimulationError("sibling layers must share one input size")
+        matrix, batched = self._as_batch(group[0], activations)
+        # Timing depends only on which activations are non-zero (the
+        # broadcast set), never on their values, so each distinct mask is
+        # simulated once and its CycleStats shared by every item with that
+        # mask.  Rows are packed to bytes so np.unique sorts one opaque key
+        # per row: np.unique(axis=0) on the boolean matrix compares rows
+        # field by field and costs ~0.5 ms for a 16 x 76 batch (one Xeon
+        # core), more than the recurrence it saves.
+        packed = np.ascontiguousarray(np.packbits(matrix != 0, axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # One column-gather per layer for the distinct masks: concatenate
+        # their non-zero columns, fancy-index the prepared matrices once,
+        # then cut the gathered block back into per-mask spans.
+        mask_ids, column_ids = np.nonzero(matrix[first])
+        boundaries = np.searchsorted(mask_ids, np.arange(first.shape[0] + 1))
+        spans = list(zip(boundaries[:-1], boundaries[1:]))
+        works: list[np.ndarray] = []
+        padding_totals: list[int] = []
+        for layer in group:
+            _, counts, _, padding_per_column = layer.payload
+            gathered = counts[:, column_ids]
+            works.extend(gathered[:, start:end] for start, end in spans)
             # Per-mask padding totals from the prepared per-column padding
             # sums: a cumulative sum over the gathered columns, differenced
             # at the mask boundaries, avoids gathering full padding matrices.
-            padding_per_column = prepared.payload[3]
-            padding_cumsum = np.concatenate(
-                [[0], np.cumsum(padding_per_column[column_ids])]
-            )
-            padding_totals = padding_cumsum[boundaries[1:]] - padding_cumsum[boundaries[:-1]]
-            # The batched recurrence advances every mask per broadcast step
-            # (bit-identical to a loop of single runs; see the parity tests).
-            per_mask = simulate_layer_cycles_batch(
-                works=[
-                    gathered_work[:, start:end]
-                    for start, end in zip(boundaries[:-1], boundaries[1:])
-                ],
-                fifo_depth=self.config.fifo_depth,
-                padding_totals=padding_totals.tolist(),
-                clock_mhz=self.config.clock_mhz,
-                assume_valid=True,
-            )
-            stats = tuple(per_mask[index] for index in inverse.ravel())
+            cumsum = np.concatenate([[0], np.cumsum(padding_per_column[column_ids])])
+            padding_totals.extend((cumsum[boundaries[1:]] - cumsum[boundaries[:-1]]).tolist())
+        # The batched recurrence advances every (layer, mask) item per
+        # broadcast step (bit-identical to a loop of single runs; see the
+        # parity tests).  Sibling layers are separate items, never extra PE
+        # lanes: the broadcast couples the PEs of one layer only.
+        per_mask = simulate_layer_cycles_batch(
+            works=works,
+            fifo_depth=self.config.fifo_depth,
+            padding_totals=padding_totals,
+            clock_mhz=self.config.clock_mhz,
+            assume_valid=True,
+        )
+        inverse = inverse.ravel()
+        stats = tuple(
+            per_mask[offset + index]
+            for offset in range(0, len(per_mask), len(spans))
+            for index in inverse
+        )
         return EngineResult(
             engine=self.name, batch_size=matrix.shape[0], batched=batched, cycles=stats
         )

@@ -1,10 +1,10 @@
 """The simulation-engine seam: one protocol for every EIE backend.
 
-Historically the repo exposed three disjoint entry points to "run a layer on
-EIE" — :class:`~repro.core.functional.FunctionalEIE` (bit-exact values),
-:class:`~repro.core.cycle_model.CycleAccurateEIE` (timing) and the RTL kernel
-under :mod:`repro.core.rtl` — and every caller wired them up by hand.  This
-module defines the single seam they now sit behind:
+Three simulators "run a layer on EIE" —
+:class:`~repro.core.functional.FunctionalEIE` (bit-exact values), the
+broadcast/FIFO recurrence of :mod:`repro.core.cycle_model` (timing) and the
+RTL kernel under :mod:`repro.core.rtl`.  This module defines the single seam
+they sit behind:
 
 * :class:`SimulationEngine` — ``prepare(layer) -> PreparedLayer`` performs all
   per-layer work (building simulators, extracting work matrices) once, and
@@ -127,6 +127,10 @@ class SimulationEngine(abc.ABC):
 
     #: Registry key of the backend (e.g. ``"functional"``).
     name: ClassVar[str] = ""
+    #: Whether ``run`` also takes a tuple of sibling prepared layers that
+    #: read one input (see :meth:`CycleEngine.run`); ``Session.run_model``
+    #: then runs each group of sibling nodes with one call.
+    runs_siblings: ClassVar[bool] = False
 
     def __init__(self, config: EIEConfig | None = None) -> None:
         self.config = config or EIEConfig()

@@ -12,7 +12,7 @@ The built-in backends are registered when :mod:`repro.engine` is imported:
 Key        Backend
 ========== ================================================================
 functional bit-exact value simulation (:class:`FunctionalEIE` adapter)
-cycle      broadcast/FIFO timing model (:class:`CycleAccurateEIE` adapter)
+cycle      broadcast/FIFO timing model (:mod:`repro.core.cycle_model` adapter)
 rtl        two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)
 ========== ================================================================
 """

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -374,18 +375,22 @@ class Session:
         layer: Any,
         inputs: np.ndarray,
         config: EIEConfig | None = None,
+        result: EngineResult | None = None,
     ) -> tuple[Any, np.ndarray]:
         """Run one model node on engine ``name`` and propagate its outputs.
 
         ``inputs`` is the node's ``(batch, fan_in)`` activation matrix (as
-        produced by :meth:`ModelIR.node_input`).  Returns ``(NodeRun,
+        produced by :meth:`ModelIR.node_input`).  ``result`` is the node's
+        engine result when :meth:`run_model` already ran it with its
+        siblings; otherwise the node runs here.  Returns ``(NodeRun,
         outputs)`` where ``outputs`` are the measured activations the
         downstream nodes consume.  :meth:`run_model` dispatches every node
         through this method.
         """
         from repro.models.compressed import NodeRun, measured_density
 
-        result = self.run(name, layer, inputs, config)
+        if result is None:
+            result = self.run(name, layer, inputs, config)
         outputs = _propagate_rows(
             inputs, layer.dense_weights().T, node.bias, node.activation
         )
@@ -417,8 +422,11 @@ class Session:
         outputs of the source node otherwise.  Propagation always uses the
         compressed layer's decoded weights plus the node's bias and
         non-linearity, so the inter-layer sparsity each broadcast set sees is
-        identical on every engine, and each node's engine run is exactly the
-        layer-at-a-time ``Session.run`` call with the same inputs.
+        identical on every engine, and each node's engine result is exactly
+        the layer-at-a-time ``Session.run`` call with the same inputs.  On an
+        engine that ``runs_siblings`` (``"cycle"``), nodes with the same
+        ``source`` and ``input_slice`` read one input and run as one group,
+        with a single engine call, when the first of them is reached.
 
         Returns a :class:`~repro.models.compressed.ModelRunResult` with
         per-node engine results and, for timing engines, whole-network
@@ -461,12 +469,22 @@ class Session:
         if matrix.shape[0] == 0:
             raise ConfigurationError("model input batch must contain at least one vector")
 
+        siblings: dict[tuple, list] = {}
+        if self.engine(name, config).runs_siblings:
+            for node in ir:
+                siblings.setdefault((node.source, node.input_slice), []).append(node)
         node_outputs: dict[str, np.ndarray] = {}
+        fused: dict[str, EngineResult] = {}
         records = []
         for node in ir:
             layer = compressed.layers[node.name]
             inputs = ir.node_input(node, matrix, node_outputs)
-            record, outputs = self.run_node(name, node, layer, inputs, config)
+            group = siblings.get((node.source, node.input_slice), ())
+            if group and node.name not in fused:
+                fused.update(self._run_siblings(name, group, compressed, inputs, config))
+            record, outputs = self.run_node(
+                name, node, layer, inputs, config, fused.pop(node.name, None)
+            )
             node_outputs[node.name] = outputs
             records.append(record)
         return ModelRunResult(
@@ -479,6 +497,22 @@ class Session:
             node_outputs=node_outputs,
             outputs=node_outputs[ir.nodes[-1].name],
         )
+
+    def _run_siblings(
+        self, name: str, nodes: list, compressed: Any, inputs: np.ndarray, config: EIEConfig
+    ) -> dict[str, EngineResult]:
+        """One engine call for ``nodes``, which all read ``inputs``.
+
+        The fused result holds ``batch_size`` cycle records per node, node
+        by node; each node gets its own slice.
+        """
+        prepared = tuple(self.prepare(name, compressed.layers[n.name], config) for n in nodes)
+        fused = self.engine(name, config).run(prepared, inputs)
+        size = fused.batch_size
+        return {
+            node.name: replace(fused, cycles=fused.cycles[index * size : (index + 1) * size])
+            for index, node in enumerate(nodes)
+        }
 
     # -- introspection -----------------------------------------------------------
 

@@ -65,15 +65,6 @@ class TestRooflineShape:
         mgpu = RooflinePlatform(MOBILE_GPU_TEGRA_K1).dense_time_s(layer, 1)
         assert gpu < cpu <= mgpu
 
-    def test_energy_uses_platform_power(self):
-        layer = get_benchmark("Alex-6")
-        model = RooflinePlatform(CPU_CORE_I7_5930K)
-        energy = model.energy(layer, compressed=False, batch=1)
-        assert energy.power_w == CPU_CORE_I7_5930K.power_w
-        assert energy.energy_j == pytest.approx(
-            model.dense_time_s(layer, 1) * CPU_CORE_I7_5930K.power_w
-        )
-
     def test_performance_record(self):
         layer = get_benchmark("NT-We")
         record = RooflinePlatform(GPU_TITAN_X).performance(layer, compressed=True, batch=1)
@@ -93,10 +84,6 @@ class TestDaDianNao:
         model = DaDianNaoModel()
         fps = model.frames_per_second(get_benchmark("Alex-7"))
         assert fps == pytest.approx(PAPER_TABLE_V["DaDianNao"]["throughput_fps"], rel=0.1)
-
-    def test_energy_positive(self):
-        energy = DaDianNaoModel().energy(get_benchmark("Alex-7"))
-        assert energy.energy_j > 0
 
 
 class TestFullScaleTables4And5:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE, simulate_layer_cycles
+from repro.core.cycle_model import simulate_layer_cycles
+from repro.engine import Session
 from repro.errors import SimulationError
 
 
@@ -104,35 +105,40 @@ class TestSimulateLayerCycles:
 
 
 class TestCycleAccurateEIE:
+    """The cycle-accurate layer run, through ``Session.run("cycle", ...)``."""
+
     def test_layer_simulation_consistent_with_functional_entries(
         self, compressed_layer, small_config, dense_activations
     ):
         from repro.core.functional import FunctionalEIE
 
-        cycle_stats = CycleAccurateEIE(small_config).simulate_layer(
-            compressed_layer, dense_activations
-        )
+        cycle_stats = Session(config=small_config).run(
+            "cycle", compressed_layer, dense_activations
+        ).stats
         functional = FunctionalEIE(compressed_layer, small_config).run(dense_activations)
         assert cycle_stats.entries_processed == functional.total_entries_processed
         assert cycle_stats.broadcasts == functional.broadcasts
 
-    def test_padding_entries_bounded_by_storage(self, compressed_layer, small_config, dense_activations):
-        stats = CycleAccurateEIE(small_config).simulate_layer(compressed_layer, dense_activations)
+    def test_padding_entries_bounded_by_storage(
+        self, compressed_layer, small_config, dense_activations
+    ):
+        session = Session(config=small_config)
+        stats = session.run("cycle", compressed_layer, dense_activations).stats
         assert 0 <= stats.padding_entries <= compressed_layer.storage.num_padding_zeros
 
     def test_wrong_activation_length_rejected(self, compressed_layer, small_config):
-        with pytest.raises(SimulationError):
-            CycleAccurateEIE(small_config).simulate_layer(
-                compressed_layer, np.zeros(compressed_layer.cols + 3)
+        with pytest.raises(SimulationError, match="activation length"):
+            Session(config=small_config).run(
+                "cycle", compressed_layer, np.zeros(compressed_layer.cols + 3)
             )
 
     def test_pe_mismatch_rejected(self, compressed_layer):
-        with pytest.raises(SimulationError):
-            CycleAccurateEIE(EIEConfig(num_pes=16)).simulate_layer(
-                compressed_layer, np.zeros(compressed_layer.cols)
+        with pytest.raises(SimulationError, match="interleaved over 4 PEs"):
+            Session(config=EIEConfig(num_pes=16)).run(
+                "cycle", compressed_layer, np.zeros(compressed_layer.cols)
             )
 
     def test_work_matrix_entry_point(self, small_config):
-        stats = CycleAccurateEIE(small_config).simulate_work_matrix(np.full((4, 20), 2))
+        stats = simulate_layer_cycles(np.full((4, 20), 2), fifo_depth=small_config.fifo_depth)
         assert stats.fifo_depth == small_config.fifo_depth
         assert stats.entries_processed == 160

@@ -45,10 +45,12 @@ class TestDMAModel:
         # Amortised over a realistic number of inferences, loading is negligible
         # compared to the per-inference compute time — the paper's argument for
         # ignoring the I/O mode in Table IV.
-        from repro.core.cycle_model import CycleAccurateEIE
+        from repro.engine import Session
 
         load = DMAModel().layer_load_cost(compressed_layer, small_config)
-        inference = CycleAccurateEIE(small_config).simulate_layer(compressed_layer, dense_activations)
+        inference = Session(config=small_config).run(
+            "cycle", compressed_layer, dense_activations
+        ).stats
         assert load.amortized_over(100_000) < inference.time_s
 
     def test_invalid_bandwidth_rejected(self):

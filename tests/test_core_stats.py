@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.stats import EnergyStats, LoadBalanceStats, PerformanceStats
+from repro.core.stats import LoadBalanceStats, PerformanceStats
 
 
 class TestLoadBalanceStats:
@@ -40,14 +40,3 @@ class TestPerformanceStats:
         stats = PerformanceStats(cycles=0, time_s=0.0, macs_performed=0, dense_macs=0)
         assert stats.effective_gops == 0.0
         assert stats.frames_per_second == 0.0
-
-
-class TestEnergyStats:
-    def test_unit_conversions(self):
-        stats = EnergyStats(energy_j=2e-6, power_w=0.5)
-        assert stats.energy_uj == pytest.approx(2.0)
-        assert stats.energy_nj == pytest.approx(2000.0)
-        assert stats.frames_per_joule() == pytest.approx(5e5)
-
-    def test_zero_energy_guarded(self):
-        assert EnergyStats(energy_j=0.0, power_w=1.0).frames_per_joule() == 0.0

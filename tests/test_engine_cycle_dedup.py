@@ -1,14 +1,20 @@
-"""Broadcast-set dedup in the batched cycle engine.
+"""Broadcast-set dedup, sibling fusion and idle-lane dropping in the cycle engine.
 
 A layer's timing depends only on which activations are non-zero (the
 broadcast set), never on their values, so ``CycleEngine.run`` simulates each
 distinct non-zero mask of a batch once and shares the resulting
-:class:`CycleStats` among every item with that mask.  These tests pin:
+:class:`CycleStats` among every item with that mask.  Sibling nodes of a
+model (same source, same input slice) share those masks too, so
+``Session.run_model`` runs each sibling group through one engine call, and
+the batched recurrence packs only the PE lanes that have work.  These tests
+pin:
 
-* exactness — a batched run equals a per-item ``simulate_layer_cycles`` on
-  every ``CycleStats`` field;
-* the cut itself — rows sharing one mask reach the batched recurrence as a
-  single work matrix, so a later refactor cannot silently undo it;
+* exactness — a batched, fused, lane-dropped run equals a per-node,
+  per-item ``simulate_layer_cycles`` over every PE on every ``CycleStats``
+  field, and the propagated outputs equal the unfused functional engine's;
+* the cuts themselves — rows sharing one mask reach the batched recurrence
+  as a single work matrix, and a model's sibling gates reach it in one call,
+  so a later refactor cannot silently undo either;
 * safety of the sharing — the record is frozen and its ``busy_cycles`` is
   read-only, so one item cannot mutate another item's record.
 """
@@ -23,15 +29,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.adapters as adapters
+from cycle_oracle import assert_stats_identical, cycle_oracle
 from repro.compression.pipeline import CompressionConfig, DeepCompressor
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import (
-    CycleStats,
-    layer_work_matrices,
-    simulate_layer_cycles,
-    simulate_layer_cycles_batch,
-)
-from repro.engine import EngineRegistry
+from repro.core.cycle_model import simulate_layer_cycles, simulate_layer_cycles_batch
+from repro.engine import EngineRegistry, Session
+from repro.models import MatVecNode, ModelIR, build_model
 
 ENGINES = ("cycle",)
 
@@ -56,23 +59,8 @@ def _assert_matches_per_item(engine_name, layer, config, activations) -> None:
     engine = EngineRegistry.create(engine_name, config)
     result = engine.run(engine.prepare(layer), activations)
     assert len(result.cycles) == activations.shape[0]
-    counts, padding = layer_work_matrices(layer)
     for row, ours in zip(activations, result.cycles):
-        columns = np.nonzero(row)[0]
-        reference = simulate_layer_cycles(
-            counts[:, columns],
-            config.fifo_depth,
-            padding_work=padding[:, columns],
-            clock_mhz=config.clock_mhz,
-        )
-        for field in dataclasses.fields(CycleStats):
-            mine, theirs = getattr(ours, field.name), getattr(reference, field.name)
-            if isinstance(theirs, np.ndarray):
-                assert mine.dtype == theirs.dtype, field.name
-                assert np.array_equal(mine, theirs), field.name
-            else:
-                assert type(mine) is type(theirs), field.name
-                assert mine == theirs, field.name
+        assert_stats_identical(ours, cycle_oracle(layer, config, row))
 
 
 @st.composite
@@ -122,6 +110,111 @@ class TestDedupIsExact:
         _assert_matches_per_item(engine_name, layer, config, activations)
 
 
+def _sibling_model(case) -> ModelIR:
+    """Sibling nodes on the input, interleaved with siblings on ``s0``'s output.
+
+    Column 0 feeds row 0 alone, so a mask of column 0 by itself leaves every
+    PE but PE 0 idle while wider masks give them work.
+    """
+    if "model" in case:
+        name, mode = case["model"]
+        return build_model(name, scale=32, params={"mode": mode})
+    rng = np.random.default_rng(case["layer_seed"])
+
+    def weights(rows, cols):
+        matrix = rng.normal(size=(rows, cols))
+        matrix[rng.random((rows, cols)) >= 0.4] = 0.0
+        matrix[:, 0] = 0.0
+        matrix[0, 0] = 1.0
+        return matrix
+
+    cols, rows = len(case["masks"][0]), case["rows"]
+    roots = [MatVecNode(f"s{g}", weights(size, cols)) for g, size in enumerate(rows)]
+    tails = [MatVecNode(f"t{k}", weights(5 + k, rows[0]), source="s0") for k in range(2)]
+    return ModelIR([roots[0], tails[0], *roots[1:], tails[1]], name="siblings")
+
+
+@st.composite
+def sibling_cases(draw):
+    """A model with sibling node groups plus a batch from a small mask pool."""
+    cols = draw(st.integers(2, 24))
+    pool = draw(
+        st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols), min_size=1, max_size=3)
+    )
+    return {
+        "rows": draw(st.lists(st.integers(1, 24), min_size=1, max_size=4)),
+        "num_pes": draw(st.sampled_from((1, 2, 4, 8))),
+        "fifo_depth": draw(st.sampled_from((1, 2, 8, 64))),
+        "layer_seed": draw(st.integers(0, 2**31 - 1)),
+        "masks": pool,
+        "picks": draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8)),
+        "value_seed": draw(st.integers(0, 2**31 - 1)),
+    }
+
+
+def _sibling_case(masks, picks, rows=(12, 7, 9), num_pes=4, fifo_depth=4, **extra):
+    return {
+        "rows": list(rows), "num_pes": num_pes, "fifo_depth": fifo_depth,
+        "layer_seed": 11, "masks": masks, "picks": picks, "value_seed": 13, **extra,
+    }
+
+
+_COL0 = [True] + [False] * (len(_A) - 1)
+_LSTM_MASKS = [[index % 3 != 0 for index in range(38)], [True] * 38]
+
+
+class TestSiblingFusionIsExact:
+    @settings(max_examples=25, deadline=None)
+    @given(case=sibling_cases())
+    @example(case=_sibling_case([_ZERO], [0, 0]))  # all-zero inputs: zero-length items
+    @example(case=_sibling_case([_A, _B], [0, 1], rows=(2, 3), num_pes=8))  # PEs > rows
+    @example(case=_sibling_case([_COL0, _A], [0, 1, 0]))  # PEs 1-3 idle for one mask
+    @example(case=_sibling_case([_A], [0]))  # batch 1
+    @example(case=_sibling_case([_A, _B], [1, 0, 1], fifo_depth=1))  # the closed form
+    @example(case=_sibling_case([_A, _B], [0, 1], fifo_depth=64))  # no backpressure
+    @example(case=_sibling_case(_LSTM_MASKS, [0, 1, 0], model=("neuraltalk_lstm", "stacked")))
+    @example(case=_sibling_case(_LSTM_MASKS, [1, 0], model=("neuraltalk_lstm", "per_gate")))
+    def test_fused_run_equals_per_node_runs(self, case):
+        model = _sibling_model(case)
+        config = EIEConfig(num_pes=case["num_pes"], fifo_depth=case["fifo_depth"])
+        masks = np.asarray(case["masks"], dtype=bool)
+        inputs = _batch_from_masks(masks, case["picks"], case["value_seed"])
+        session = Session(config=config)
+        run = session.run_model("cycle", model, inputs)
+        unfused = session.run_model("functional", model, inputs)
+        layers = session.compress_model(model, config.num_pes).layers
+        for node, record in zip(model, run.nodes):
+            node_inputs = model.node_input(node, inputs, run.node_outputs)
+            assert len(record.result.cycles) == inputs.shape[0]
+            for row, ours in zip(node_inputs, record.result.cycles):
+                assert_stats_identical(ours, cycle_oracle(layers[node.name], config, row))
+            outputs = run.node_outputs[node.name]
+            assert outputs.tobytes() == unfused.node_outputs[node.name].tobytes()
+
+
+class TestIdleLanesDropExactly:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_pes=st.integers(1, 6),
+        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        idle=st.sets(st.integers(0, 5)),
+        fifo_depth=st.sampled_from((1, 2, 3, 16)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(num_pes=3, lengths=[0, 0], idle=set(), fifo_depth=2, seed=0)  # zero-length
+    @example(num_pes=4, lengths=[5, 3], idle={0, 1, 2, 3}, fifo_depth=2, seed=0)  # all idle
+    def test_batched_recurrence_equals_full_lane_runs(
+        self, num_pes, lengths, idle, fifo_depth, seed
+    ):
+        rng = np.random.default_rng(seed)
+        works = [rng.integers(0, 4, size=(num_pes, length)) for length in lengths]
+        for work in works:
+            work[[pe for pe in idle if pe < num_pes]] = 0
+        batched = simulate_layer_cycles_batch(works, fifo_depth)
+        for work, ours in zip(works, batched):
+            assert_stats_identical(ours, simulate_layer_cycles(work, fifo_depth))
+
+
 class TestDedupCut:
     @pytest.fixture
     def recorded_batches(self, monkeypatch):
@@ -160,6 +253,16 @@ class TestDedupCut:
         result = engine.run(engine.prepare(compressed_layer), activations)
         assert recorded_batches == [16]
         assert [stats.broadcasts for stats in result.cycles] == list(range(1, 17))
+
+    def test_sibling_gates_reach_the_recurrence_once(self, recorded_batches):
+        model = build_model("neuraltalk_lstm", scale=32, params={"mode": "per_gate"})
+        mask = np.ones((1, model.input_size), dtype=bool)
+        run = Session(config=EIEConfig(num_pes=8)).run_model(
+            "cycle", model, _batch_from_masks(mask, [0] * 4, seed=6)
+        )
+        assert len(run.nodes) == 4
+        assert recorded_batches == [4]
+        assert all(len(record.result.cycles) == 4 for record in run.nodes)
 
 
 class TestSharedStatsAreReadOnly:

@@ -5,8 +5,8 @@ validation flow:
 
 * the ``"functional"`` adapter reproduces the per-PE broadcast walk of
   :mod:`functional_oracle` bit-for-bit, and the ``"cycle"`` adapter the
-  :class:`CycleAccurateEIE` results (property-tested over random sparse
-  layers and activations);
+  single-vector recurrence of :mod:`cycle_oracle` (property-tested over
+  random sparse layers and activations);
 * a batched ``run`` equals a loop of single-vector runs, element-wise;
 * the ``"rtl"`` adapter agrees with the functional values.
 
@@ -22,13 +22,13 @@ import time
 
 import numpy as np
 import pytest
+from cycle_oracle import assert_stats_identical, cycle_oracle
 from functional_oracle import assert_results_identical, oracle_run
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compression.pipeline import CompressionConfig, DeepCompressor
 from repro.core.config import EIEConfig
-from repro.core.cycle_model import CycleAccurateEIE, CycleStats
 from repro.engine import EngineRegistry, FunctionalEngine, Session
 from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
@@ -53,18 +53,6 @@ def layer_and_activations(draw):
     activations = rng.uniform(0.1, 1.0, size=(batch, cols))
     activations[rng.random((batch, cols)) >= 0.5] = 0.0
     return layer, EIEConfig(num_pes=num_pes), activations
-
-
-def assert_cycle_stats_equal(ours: CycleStats, legacy: CycleStats) -> None:
-    assert ours.total_cycles == legacy.total_cycles
-    assert np.array_equal(ours.busy_cycles, legacy.busy_cycles)
-    assert ours.broadcasts == legacy.broadcasts
-    assert ours.entries_processed == legacy.entries_processed
-    assert ours.padding_entries == legacy.padding_entries
-    assert ours.theoretical_cycles == legacy.theoretical_cycles
-    assert ours.num_pes == legacy.num_pes
-    assert ours.fifo_depth == legacy.fifo_depth
-    assert ours.clock_mhz == legacy.clock_mhz
 
 
 class TestFunctionalParity:
@@ -146,17 +134,14 @@ class TestCycleParity:
         layer, config, activations = case
         engine = EngineRegistry.create("cycle", config)
         result = engine.run(engine.prepare(layer), activations)
-        legacy = CycleAccurateEIE(config)
         for row, ours in zip(activations, result.cycles):
-            assert_cycle_stats_equal(ours, legacy.simulate_layer(layer, row))
+            assert_stats_identical(ours, cycle_oracle(layer, config, row))
 
     def test_fixture_layer_matches(self, compressed_layer, small_config, dense_activations):
         engine = EngineRegistry.create("cycle", small_config)
         result = engine.run(engine.prepare(compressed_layer), dense_activations)
-        assert_cycle_stats_equal(
-            result.stats, CycleAccurateEIE(small_config).simulate_layer(
-                compressed_layer, dense_activations
-            )
+        assert_stats_identical(
+            result.stats, cycle_oracle(compressed_layer, small_config, dense_activations)
         )
 
 
@@ -190,7 +175,7 @@ class TestBatchedEqualsLoop:
         batched = engine.run(prepared, activations)
         assert len(batched.cycles) == activations.shape[0]
         for index, row in enumerate(activations):
-            assert_cycle_stats_equal(batched.cycles[index], engine.run(prepared, row).stats)
+            assert_stats_identical(batched.cycles[index], engine.run(prepared, row).stats)
 
     def test_all_zero_row_in_batch(self, compressed_layer, small_config):
         # A row with no non-zero activations broadcasts nothing: zero cycles.
@@ -247,7 +232,7 @@ class TestWorkloadPath:
         config = EIEConfig(num_pes=4)
         stats = workload.simulate(config)
         engine = EngineRegistry.create("cycle", config)
-        assert_cycle_stats_equal(stats, engine.run(engine.prepare(workload)).stats)
+        assert_stats_identical(stats, engine.run(engine.prepare(workload)).stats)
 
     def test_workload_prepared_layer_rejects_activations(self, tiny_spec):
         from repro.errors import SimulationError
@@ -281,10 +266,10 @@ class TestAlexNetFCScale:
         vector = batch[0]
         cycle_engine = EngineRegistry.create("cycle", config)
         engine_stats = cycle_engine.run(cycle_engine.prepare(layer), vector).stats
-        legacy_stats = CycleAccurateEIE(config).simulate_layer(layer, vector)
-        assert engine_stats.total_cycles == legacy_stats.total_cycles
-        assert np.array_equal(engine_stats.busy_cycles, legacy_stats.busy_cycles)
-        assert engine_stats.padding_entries == legacy_stats.padding_entries
+        oracle_stats = cycle_oracle(layer, config, vector)
+        assert engine_stats.total_cycles == oracle_stats.total_cycles
+        assert np.array_equal(engine_stats.busy_cycles, oracle_stats.busy_cycles)
+        assert engine_stats.padding_entries == oracle_stats.padding_entries
 
         functional_engine = EngineRegistry.create("functional", config)
         engine_output = functional_engine.run(functional_engine.prepare(layer), vector).output
@@ -293,8 +278,7 @@ class TestAlexNetFCScale:
 
     def test_batched_run_equals_sequential_simulations(self, setup):
         session, layer, batch = setup
-        legacy = CycleAccurateEIE(session.default_config)
-        sequential = [legacy.simulate_layer(layer, row) for row in batch]
+        sequential = [cycle_oracle(layer, session.default_config, row) for row in batch]
         batched = session.run("cycle", layer, batch)
         assert len(batched.cycles) == self.BATCH
         assert all(
@@ -307,13 +291,12 @@ class TestAlexNetFCScale:
     def test_batched_run_is_at_least_1_5x_faster(self, setup):
         """Medians of 5 alternating (64 sequential runs, one batched run) pairs."""
         session, layer, batch = setup
-        legacy = CycleAccurateEIE(session.default_config)
         session.run("cycle", layer, batch[:2])  # warm the prepared-layer cache
         sequential_s, batched_s = [], []
         for _ in range(5):
             start = time.perf_counter()
             for row in batch:
-                legacy.simulate_layer(layer, row)
+                cycle_oracle(layer, session.default_config, row)
             sequential_s.append(time.perf_counter() - start)
             start = time.perf_counter()
             session.run("cycle", layer, batch)

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K
 from repro.compression import CompressionConfig, DeepCompressor
-from repro.core import CycleAccurateEIE, EIEConfig, FunctionalEIE
+from repro.core import EIEConfig, FunctionalEIE
 from repro.engine.session import Session
 from repro.hardware.area import chip_energy_j
 from repro.models.ir import ModelIR
@@ -88,7 +88,7 @@ class TestBenchmarkPipelineSmallScale:
         layer = DeepCompressor().compress(weights, num_pes=config.num_pes, name=spec.name)
         activations = generate_activations(spec.cols, spec.activation_density, rng=3)
         functional = FunctionalEIE(layer, config).run(activations)
-        cycle = CycleAccurateEIE(config).simulate_layer(layer, activations)
+        cycle = Session(config=config).run("cycle", layer, activations).stats
         assert functional.total_entries_processed == cycle.entries_processed
         assert functional.broadcasts == cycle.broadcasts
 
