@@ -85,7 +85,7 @@ from repro.models import (
     build_model,
     register_model,
 )
-from repro.nn import FeedForwardNetwork, FullyConnectedLayer, LSTMCell
+from repro.nn import LSTMCell
 from repro.reliability import (
     FaultConfig,
     inject_layer_faults,
@@ -119,8 +119,6 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentSpec",
     "FaultConfig",
-    "FeedForwardNetwork",
-    "FullyConnectedLayer",
     "FunctionalEIE",
     "FunctionalResult",
     "HuffmanCode",

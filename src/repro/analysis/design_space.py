@@ -22,8 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.fixed_point import FixedPointFormat
-from repro.nn.layers import FullyConnectedLayer
-from repro.nn.model import FeedForwardNetwork
 
 __all__ = [
     "DEFAULT_FIFO_DEPTHS",
@@ -40,33 +38,27 @@ FLOAT32_REFERENCE_ACCURACY = 0.803
 
 def _build_proxy_classifier(
     input_size: int, hidden_size: int, classes: int, rng: np.random.Generator
-) -> FeedForwardNetwork:
-    """A small FC classifier standing in for the AlexNet FC stack."""
-    hidden = FullyConnectedLayer(
-        weight=rng.normal(0.0, 0.12, size=(hidden_size, input_size)),
-        activation="relu",
-        name="proxy-hidden",
-    )
-    logits = FullyConnectedLayer(
-        weight=rng.normal(0.0, 0.12, size=(classes, hidden_size)),
-        activation="identity",
-        name="proxy-logits",
-    )
-    return FeedForwardNetwork([hidden, logits], name="precision-proxy")
+) -> list[tuple[np.ndarray, str]]:
+    """A small FC classifier standing in for the AlexNet FC stack.
+
+    Returned as ``(weight, activation)`` pairs: a ReLU hidden layer, then
+    linear logits.
+    """
+    hidden = rng.normal(0.0, 0.12, size=(hidden_size, input_size))
+    logits = rng.normal(0.0, 0.12, size=(classes, hidden_size))
+    return [(hidden, "relu"), (logits, "identity")]
 
 
 def _quantized_forward(
-    network: FeedForwardNetwork, inputs: np.ndarray, fmt: FixedPointFormat | None
+    layers: list[tuple[np.ndarray, str]], inputs: np.ndarray, fmt: FixedPointFormat | None
 ) -> np.ndarray:
     """Forward pass with weights and activations quantised to ``fmt``."""
     current = inputs if fmt is None else fmt.quantize(inputs)
-    for layer in network.layers:
-        weight = layer.weight if fmt is None else fmt.quantize(layer.weight)
+    for weight, activation in layers:
+        if fmt is not None:
+            weight = fmt.quantize(weight)
         pre = weight @ current
         if fmt is not None:
             pre = fmt.quantize(pre)
-        if layer.activation == "relu":
-            current = np.maximum(pre, 0.0)
-        else:
-            current = pre
+        current = np.maximum(pre, 0.0) if activation == "relu" else pre
     return current

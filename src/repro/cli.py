@@ -1266,8 +1266,8 @@ def _serve_bench_inputs(args: argparse.Namespace, model, description):
 
 def _parse_connect(text: str, what: str) -> tuple[str, int]:
     host, _, port_text = text.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise SystemExit(f"{what}: --connect expects HOST:PORT")
+    if not host or not port_text.isdecimal() or not 1 <= int(port_text) <= 65535:
+        raise SystemExit(f"{what}: --connect expects HOST:PORT with a port in 1-65535")
     return host, int(port_text)
 
 

@@ -198,7 +198,7 @@ def _fig10_point(ctx: ExperimentContext, point: dict) -> dict:
 
     def build_reference():
         rng = make_rng(ctx.seed)
-        network = _build_proxy_classifier(
+        layers = _build_proxy_classifier(
             int(ctx.params["input_size"]),
             int(ctx.params["hidden_size"]),
             int(ctx.params["classes"]),
@@ -207,14 +207,14 @@ def _fig10_point(ctx: ExperimentContext, point: dict) -> dict:
         inputs = rng.normal(0.0, 1.0, size=(int(ctx.params["num_samples"]),
                                             int(ctx.params["input_size"])))
         reference = np.array(
-            [int(np.argmax(_quantized_forward(network, sample, None))) for sample in inputs]
+            [int(np.argmax(_quantized_forward(layers, sample, None))) for sample in inputs]
         )
-        return network, inputs, reference
+        return layers, inputs, reference
 
-    network, inputs, reference = ctx.memo("precision-reference", build_reference)
+    layers, inputs, reference = ctx.memo("precision-reference", build_reference)
     fmt = FORMATS[precision]
     predictions = np.array(
-        [int(np.argmax(_quantized_forward(network, sample, fmt))) for sample in inputs]
+        [int(np.argmax(_quantized_forward(layers, sample, fmt))) for sample in inputs]
     )
     agreement = float(np.mean(predictions == reference))
     return {

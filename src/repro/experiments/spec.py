@@ -17,8 +17,6 @@ clear error naming the bad key.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
@@ -26,6 +24,7 @@ from repro.compression.pipeline import CompressionConfig
 from repro.core.config import EIEConfig
 from repro.errors import ConfigurationError
 from repro.utils.serialization import jsonable as _jsonable
+from repro.utils.validation import require_spec_numbers
 
 __all__ = ["ExperimentSpec"]
 
@@ -75,21 +74,9 @@ class ExperimentSpec:
             raise ConfigurationError("ExperimentSpec.experiment must be a non-empty string")
         if self.engine is not None and (not self.engine or not isinstance(self.engine, str)):
             raise ConfigurationError("ExperimentSpec.engine must be a non-empty string")
-        for name in ("seed", "repeats"):
-            value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        require_spec_numbers(self.scale, seed=self.seed, repeats=self.repeats)
         if self.repeats is not None and self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.scale is not None and (
-            isinstance(self.scale, bool)
-            or not isinstance(self.scale, numbers.Real)
-            or not math.isfinite(self.scale)
-            or self.scale <= 0
-        ):
-            raise ConfigurationError(f"scale must be a finite number > 0, got {self.scale!r}")
         # Normalise the container fields so equality is representation-independent
         # (JSON round-trips lists; callers pass tuples and numpy scalars).
         object.__setattr__(self, "config", _jsonable(dict(self.config)))

@@ -7,8 +7,8 @@ imported ``.npz`` state dicts — to an ordered graph of matrix-vector nodes
 the compression pipeline and every simulation engine already understand.
 
 * :class:`ModelIR` / :class:`MatVecNode` — the IR and its lowering
-  constructors (``from_network`` / ``from_lstm`` / ``from_conv`` /
-  ``from_npz``) (:mod:`repro.models.ir`);
+  constructors (``from_lstm`` / ``from_conv`` / ``from_npz``)
+  (:mod:`repro.models.ir`);
 * :class:`ModelSpec` — frozen, JSON-round-tripping build description,
   mirroring :class:`~repro.experiments.spec.ExperimentSpec`
   (:mod:`repro.models.spec`);

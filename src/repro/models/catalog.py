@@ -21,7 +21,7 @@ representative.
 from __future__ import annotations
 
 from repro.models.ir import ModelIR
-from repro.models.registry import ModelRegistry, RegisteredModel, register_model
+from repro.models.registry import RegisteredModel, register_model
 from repro.models.spec import ModelSpec
 from repro.workloads.benchmarks import ALL_BENCHMARKS
 from repro.workloads.models import (
@@ -34,24 +34,14 @@ __all__ = ["BUILTIN_MODELS"]
 
 
 def _build_alexnet(spec: ModelSpec) -> ModelIR:
-    network = build_alexnet_fc_network(scale=float(spec.scale), seed=spec.seed)
-    model = ModelIR.from_network(
-        network,
-        name="alexnet_fc",
-        input_density=ALL_BENCHMARKS["Alex-6"].activation_density,
-    )
-    model.metadata.update({"spec": spec.to_dict()})
+    model = build_alexnet_fc_network(scale=float(spec.scale), seed=spec.seed)
+    model.metadata["spec"] = spec.to_dict()
     return model
 
 
 def _build_vgg(spec: ModelSpec) -> ModelIR:
-    network = build_vgg_fc_network(scale=float(spec.scale), seed=spec.seed)
-    model = ModelIR.from_network(
-        network,
-        name="vgg_fc",
-        input_density=ALL_BENCHMARKS["VGG-6"].activation_density,
-    )
-    model.metadata.update({"spec": spec.to_dict()})
+    model = build_vgg_fc_network(scale=float(spec.scale), seed=spec.seed)
+    model.metadata["spec"] = spec.to_dict()
     return model
 
 
@@ -63,7 +53,7 @@ def _build_neuraltalk(spec: ModelSpec) -> ModelIR:
         name="neuraltalk_lstm",
         input_density=ALL_BENCHMARKS["NT-LSTM"].activation_density,
     )
-    model.metadata.update({"spec": spec.to_dict()})
+    model.metadata["spec"] = spec.to_dict()
     return model
 
 

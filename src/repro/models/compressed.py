@@ -24,7 +24,6 @@ from repro.engine.base import EngineResult
 from repro.errors import SimulationError
 from repro.hardware.area import chip_energy_j
 from repro.models.ir import ModelIR
-from repro.nn.reference import sparse_density
 
 __all__ = ["CompressedModel", "NodeRun", "ModelRunResult"]
 
@@ -263,4 +262,4 @@ def measured_density(values: np.ndarray) -> float:
     values = np.asarray(values)
     if values.size == 0:
         return 0.0
-    return float(sparse_density(values.reshape(-1)))
+    return float(np.count_nonzero(values)) / values.size

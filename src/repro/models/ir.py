@@ -10,10 +10,9 @@ ordered list of :class:`MatVecNode` objects, each carrying a dense weight
 matrix, an activation function, and edge wiring (which earlier node — or the
 model input — feeds it, optionally through a slice).
 
-Lowering rules (the ``from_*`` constructors):
+Builders construct chains of nodes directly (the paper's FC tails come from
+:mod:`repro.workloads.models`).  Lowering rules (the ``from_*`` constructors):
 
-* ``from_network`` — each :class:`~repro.nn.model.FeedForwardNetwork` layer
-  becomes one node chained onto the previous layer's output.
 * ``from_lstm`` — one time step of an :class:`~repro.nn.lstm.LSTMCell` over
   the concatenated ``[x_t, h_{t-1}]`` input vector.  ``mode="per_gate"``
   lowers each gate to one node with the ``[W_gate | U_gate]`` block matrix
@@ -44,9 +43,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.convolution import im2col
-from repro.nn.layers import ACTIVATIONS, FullyConnectedLayer
+from repro.nn.layers import ACTIVATIONS
 from repro.nn.lstm import LSTM_GATE_NAMES, LSTMCell
-from repro.nn.model import FeedForwardNetwork
 from repro.utils.validation import require_matrix, require_vector
 
 __all__ = ["INPUT", "MatVecNode", "ModelTrace", "ModelIR", "conv_activation_batch"]
@@ -429,36 +427,6 @@ class ModelIR:
         return self.forward(inputs)
 
     # -- lowering constructors ------------------------------------------------------
-
-    @classmethod
-    def from_network(cls, network: FeedForwardNetwork, name: str | None = None,
-                     input_density: float = 1.0) -> "ModelIR":
-        """Lower a sequential :class:`FeedForwardNetwork` to a node chain."""
-        nodes: list[MatVecNode] = []
-        previous = INPUT
-        seen: dict[str, int] = {}
-        for layer in network.layers:
-            node_name = layer.name
-            count = seen.get(node_name, 0)
-            seen[node_name] = count + 1
-            if count:
-                node_name = f"{node_name}#{count + 1}"
-            nodes.append(
-                MatVecNode(
-                    name=node_name,
-                    weight=layer.weight,
-                    activation=layer.activation,
-                    bias=layer.bias,
-                    source=previous,
-                )
-            )
-            previous = node_name
-        return cls(
-            nodes,
-            name=name or network.name,
-            input_density=input_density,
-            metadata={"lowered_from": "FeedForwardNetwork"},
-        )
 
     @classmethod
     def from_lstm(cls, cell: LSTMCell, mode: str = "per_gate",

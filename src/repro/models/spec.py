@@ -16,6 +16,7 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.utils.serialization import jsonable as _jsonable
+from repro.utils.validation import require_spec_numbers
 
 __all__ = ["ModelSpec"]
 
@@ -43,8 +44,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.model or not isinstance(self.model, str):
             raise ConfigurationError("ModelSpec.model must be a non-empty string")
-        if self.scale is not None and self.scale <= 0:
-            raise ConfigurationError(f"scale must be > 0, got {self.scale}")
+        require_spec_numbers(self.scale, seed=self.seed)
         object.__setattr__(self, "params", _jsonable(dict(self.params)))
 
     def merged(self, override: "ModelSpec | None") -> "ModelSpec":

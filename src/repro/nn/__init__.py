@@ -1,11 +1,10 @@
-"""Neural-network substrate: layers, models, LSTM and reference kernels.
+"""Neural-network substrate: activations, LSTM, convolution and fixed point.
 
-This package provides the minimal numpy-based deep-learning stack the paper's
-workloads need: fully-connected layers with ReLU (the M x V building block EIE
-accelerates), an LSTM cell decomposed into the eight matrix-vector products
-the paper describes, fixed-point quantisation used for the arithmetic
-precision study (Figure 10), and dense/sparse reference kernels that the EIE
-simulators are validated against.
+This package provides the numpy pieces the paper's workloads need beyond the
+M x V nodes of :class:`~repro.models.ir.ModelIR`: the non-linearities those
+nodes apply, an LSTM cell decomposed into the eight matrix-vector products
+the paper describes, convolution lowerings (Section VII-C), and fixed-point
+quantisation used for the arithmetic precision study (Figure 10).
 """
 
 from repro.nn.convolution import (
@@ -18,30 +17,22 @@ from repro.nn.convolution import (
     winograd_multiplication_savings,
 )
 from repro.nn.fixed_point import FixedPointFormat, quantization_snr_db
-from repro.nn.layers import FullyConnectedLayer, identity, relu, sigmoid, tanh
+from repro.nn.layers import identity, relu, sigmoid, tanh
 from repro.nn.lstm import LSTMCell, LSTMState
-from repro.nn.model import FeedForwardNetwork
-from repro.nn.reference import CSRMatrix, csr_matrix_vector, dense_matrix_vector, sparse_density
 
 __all__ = [
-    "CSRMatrix",
     "ConvWorkload",
-    "FeedForwardNetwork",
     "FixedPointFormat",
-    "FullyConnectedLayer",
     "LSTMCell",
     "LSTMState",
     "conv1x1_as_matvec",
     "conv2d_via_im2col",
-    "csr_matrix_vector",
-    "dense_matrix_vector",
     "direct_conv2d",
     "identity",
     "im2col",
     "quantization_snr_db",
     "relu",
     "sigmoid",
-    "sparse_density",
     "tanh",
     "winograd_conv2d_3x3",
     "winograd_multiplication_savings",

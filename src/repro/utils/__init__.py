@@ -9,6 +9,7 @@ from repro.utils.validation import (
     require_non_negative,
     require_positive,
     require_power_of_two,
+    require_spec_numbers,
     require_vector,
 )
 
@@ -22,5 +23,6 @@ __all__ = [
     "require_non_negative",
     "require_positive",
     "require_power_of_two",
+    "require_spec_numbers",
     "require_vector",
 ]

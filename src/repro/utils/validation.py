@@ -7,6 +7,8 @@ configuration dataclasses short and their error messages consistent.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "require_power_of_two",
     "require_vector",
     "require_matrix",
+    "require_spec_numbers",
 ]
 
 
@@ -75,3 +78,23 @@ def require_matrix(name: str, array: np.ndarray) -> np.ndarray:
     if array.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {array.shape}")
     return array
+
+
+def require_spec_numbers(scale: object, **integers: object) -> None:
+    """Check a spec's optional ``scale`` and integer fields (``None`` passes).
+
+    ``scale`` must be a finite real number > 0 and every keyword an integer;
+    booleans are rejected for both, although Python counts them as numbers.
+    """
+    for name, value in integers.items():
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if scale is not None and (
+        isinstance(scale, bool)
+        or not isinstance(scale, numbers.Real)
+        or not math.isfinite(scale)
+        or scale <= 0
+    ):
+        raise ConfigurationError(f"scale must be a finite number > 0, got {scale!r}")

@@ -20,7 +20,6 @@ from repro.workloads.models import (
     build_alexnet_fc_network,
     build_neuraltalk_lstm,
     build_vgg_fc_network,
-    random_dense_layer,
 )
 from repro.workloads.synthetic import (
     SparsePattern,
@@ -43,6 +42,5 @@ __all__ = [
     "generate_dense_weights",
     "generate_sparse_pattern",
     "get_benchmark",
-    "random_dense_layer",
     "scaled_benchmarks",
 ]

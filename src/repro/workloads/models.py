@@ -1,95 +1,76 @@
-"""Model builders for the example applications.
+"""Model builders for the paper's networks.
 
-These helpers construct the network structures the paper's benchmarks come
-from — the fully-connected tails of AlexNet and VGG-16 and the NeuralTalk
-LSTM — with synthetic weights at the Table III densities.  They are sized by
-a scale factor so the examples run in seconds on a laptop while preserving
-the structure (layer chaining, ReLU sparsity, LSTM gate decomposition).
+These helpers construct the networks the paper's benchmarks come from — the
+fully-connected tails of AlexNet and VGG-16 as :class:`~repro.models.ir.ModelIR`
+chains, and the NeuralTalk LSTM cell — with synthetic weights at the Table III
+densities.  They are sized by a scale factor so the examples run in seconds
+on a laptop while preserving the structure (layer chaining, ReLU sparsity,
+LSTM gate decomposition).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.nn.layers import FullyConnectedLayer
 from repro.nn.lstm import LSTM_GATE_NAMES, LSTMCell
-from repro.nn.model import FeedForwardNetwork
 from repro.utils.rng import derive_seed, make_rng
-from repro.workloads.benchmarks import ALL_BENCHMARKS, LayerSpec
+from repro.workloads.benchmarks import ALL_BENCHMARKS
 from repro.workloads.synthetic import generate_dense_weights
 
+if TYPE_CHECKING:
+    from repro.models.ir import ModelIR
+
 __all__ = [
-    "random_dense_layer",
     "build_alexnet_fc_network",
     "build_vgg_fc_network",
     "build_neuraltalk_lstm",
 ]
 
 
-def random_dense_layer(
-    spec: LayerSpec,
-    activation: str = "relu",
-    rng: np.random.Generator | int | None = None,
-) -> FullyConnectedLayer:
-    """A dense FC layer whose weights follow ``spec``'s sparsity pattern."""
-    weights = generate_dense_weights(spec, rng=rng)
-    return FullyConnectedLayer(weight=weights, activation=activation, name=spec.name)
-
-
-def _chained_specs(names: list[str], scale: float) -> list[LayerSpec]:
-    """Scaled specs for a layer chain, forcing adjacent sizes to match."""
-    specs = [ALL_BENCHMARKS[name].scaled(scale) for name in names]
-    chained: list[LayerSpec] = []
-    for index, spec in enumerate(specs):
-        if index == 0:
-            chained.append(spec)
-            continue
-        previous = chained[-1]
-        # Force the chain to be connectable after integer rounding.
-        chained.append(
-            LayerSpec(
-                name=spec.name,
-                input_size=previous.output_size,
-                output_size=spec.output_size,
-                weight_density=spec.weight_density,
-                activation_density=spec.activation_density,
-                description=spec.description,
-                seed=spec.seed,
-            )
-        )
-    return chained
-
-
-def _fc_tail(names: list[str], scale: float, seed: int | None, name: str) -> FeedForwardNetwork:
+def _fc_tail(names: list[str], scale: float, seed: int | None, name: str) -> "ModelIR":
     """Shared FC6 -> FC7 -> FC8 tail builder for AlexNet and VGG-16.
 
+    Each layer becomes one :class:`~repro.models.ir.MatVecNode` fed by the
+    previous one: ReLU on every node but the last, which is linear.
     ``seed=None`` keeps the benchmarks' canonical deterministic patterns;
     an explicit seed re-derives every layer's pattern from it (for variance
     studies across synthetic weight draws).
     """
-    if scale <= 0:
-        raise WorkloadError(f"scale must be > 0, got {scale}")
-    specs = _chained_specs(names, scale)
-    if seed is not None:
-        specs = [replace(spec, seed=derive_seed(seed, spec.name)) for spec in specs]
-    layers = []
-    for index, spec in enumerate(specs):
-        activation = "relu" if index < len(specs) - 1 else "identity"
-        layers.append(random_dense_layer(spec, activation=activation))
-    return FeedForwardNetwork(layers, name=name)
+    # repro.models imports this module through its catalog.
+    from repro.models.ir import INPUT, MatVecNode, ModelIR
+
+    nodes: list[MatVecNode] = []
+    for index, layer in enumerate(names):
+        spec = ALL_BENCHMARKS[layer].scaled(scale)
+        if nodes:
+            # Force the chain to be connectable after integer rounding.
+            spec = replace(spec, input_size=nodes[-1].rows)
+        if seed is not None:
+            spec = replace(spec, seed=derive_seed(seed, spec.name))
+        nodes.append(
+            MatVecNode(
+                name=spec.name,
+                weight=generate_dense_weights(spec),
+                activation="relu" if index < len(names) - 1 else "identity",
+                source=nodes[-1].name if nodes else INPUT,
+            )
+        )
+    return ModelIR(nodes, name=name,
+                   input_density=ALL_BENCHMARKS[names[0]].activation_density)
 
 
-def build_alexnet_fc_network(scale: float = 32.0, seed: int | None = None) -> FeedForwardNetwork:
+def build_alexnet_fc_network(scale: float = 32.0, seed: int | None = None) -> "ModelIR":
     """The FC6 -> FC7 -> FC8 tail of compressed AlexNet, scaled by ``scale``."""
-    return _fc_tail(["Alex-6", "Alex-7", "Alex-8"], scale, seed, f"alexnet-fc-x{scale:g}")
+    return _fc_tail(["Alex-6", "Alex-7", "Alex-8"], scale, seed, "alexnet_fc")
 
 
-def build_vgg_fc_network(scale: float = 32.0, seed: int | None = None) -> FeedForwardNetwork:
+def build_vgg_fc_network(scale: float = 32.0, seed: int | None = None) -> "ModelIR":
     """The FC6 -> FC7 -> FC8 tail of compressed VGG-16, scaled by ``scale``."""
-    return _fc_tail(["VGG-6", "VGG-7", "VGG-8"], scale, seed, f"vgg-fc-x{scale:g}")
+    return _fc_tail(["VGG-6", "VGG-7", "VGG-8"], scale, seed, "vgg_fc")
 
 
 def build_neuraltalk_lstm(scale: float = 8.0, seed: int = 7) -> LSTMCell:

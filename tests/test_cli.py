@@ -300,6 +300,13 @@ class TestModelCommands:
         assert main(["model", "run", "resnet", "--pes", "4"]) == 2
         assert "unknown model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_model_non_finite_scale_exits_2_with_one_line(self, capsys, scale):
+        assert main(["model", "compress", "alexnet_fc", "--scale", scale]) == 2
+        err = capsys.readouterr().err
+        assert "scale must be a finite number > 0" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestCacheAndExecutorCli:
     def test_executor_and_no_store_flags_parse(self):
@@ -422,6 +429,11 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "bench", "--connect", "nonsense", "--requests", "5"])
 
+    @pytest.mark.parametrize("port", ["0", "65536", "99999"])
+    def test_serve_bench_rejects_out_of_range_port(self, port):
+        with pytest.raises(SystemExit, match="HOST:PORT"):
+            main(["serve", "bench", "--connect", f"127.0.0.1:{port}", "--requests", "5"])
+
     def test_serve_bench_in_process_with_verify(self, capsys):
         assert main([
             "serve", "bench", "--models", "neuraltalk_lstm",
@@ -486,6 +498,11 @@ class TestServeFleetCli:
     def test_serve_status_rejects_bad_connect(self):
         with pytest.raises(SystemExit, match="HOST:PORT"):
             main(["serve", "status", "--connect", "nonsense"])
+
+    @pytest.mark.parametrize("port", ["0", "65536", "99999", "\u00b2"])
+    def test_serve_status_rejects_out_of_range_port(self, port):
+        with pytest.raises(SystemExit, match="HOST:PORT"):
+            main(["serve", "status", "--connect", f"127.0.0.1:{port}"])
 
     def test_serve_fleet_flags_parse(self):
         args = build_parser().parse_args([

@@ -11,9 +11,7 @@ from repro.compression import CompressionConfig, DeepCompressor
 from repro.core import EIEConfig, FunctionalEIE
 from repro.engine.session import Session
 from repro.hardware.area import chip_energy_j
-from repro.models.ir import ModelIR
-from repro.nn.layers import FullyConnectedLayer
-from repro.nn.model import FeedForwardNetwork
+from repro.models.ir import INPUT, MatVecNode, ModelIR
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.models import build_alexnet_fc_network
@@ -24,32 +22,28 @@ class TestCompressedNetworkEndToEnd:
     """Compress a scaled AlexNet FC tail and run it on EIE end to end."""
 
     @pytest.fixture(scope="class")
-    def network(self):
+    def model(self):
         return build_alexnet_fc_network(scale=96)
-
-    @pytest.fixture(scope="class")
-    def model(self, network):
-        return ModelIR.from_network(network)
 
     @pytest.fixture(scope="class")
     def session(self):
         return Session(CompressionConfig(), config=EIEConfig(num_pes=8))
 
-    def test_eie_matches_compressed_software_network(self, network, model, session):
+    def test_eie_matches_compressed_software_network(self, model, session):
         rng = np.random.default_rng(11)
-        inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
+        inputs = np.maximum(rng.normal(size=model.input_size), 0.0)
         run = session.run_model("functional", model, inputs)
         # The software reference runs the *decoded* compressed weights.
         reference = inputs
-        for record, layer in zip(run.nodes, network.layers):
+        for record, node in zip(run.nodes, model):
             pre = record.layer.dense_weights() @ reference
-            reference = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+            reference = np.maximum(pre, 0.0) if node.activation == "relu" else pre
         assert np.allclose(run.nodes[-1].result.output, reference)
         assert np.allclose(run.outputs[0], reference)
 
-    def test_relu_sparsity_reduces_downstream_work(self, network, model, session):
+    def test_relu_sparsity_reduces_downstream_work(self, model, session):
         rng = np.random.default_rng(12)
-        inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
+        inputs = np.maximum(rng.normal(size=model.input_size), 0.0)
         run = session.run_model("functional", model, inputs)
         # The second layer must broadcast exactly the non-zero outputs the
         # first layer's ReLU left.
@@ -61,10 +55,10 @@ class TestCompressedNetworkEndToEnd:
             first.result.output
         )
 
-    def test_compression_accuracy_close_to_dense(self, network, model, session):
+    def test_compression_accuracy_close_to_dense(self, model, session):
         rng = np.random.default_rng(13)
-        inputs = np.maximum(rng.normal(size=network.input_size), 0.0)
-        dense_out = network.forward(inputs)
+        inputs = np.maximum(rng.normal(size=model.input_size), 0.0)
+        dense_out = model.forward(inputs)
         eie_out = session.run_model("functional", model, inputs).nodes[-1].result.output
         # Weight sharing introduces bounded error; outputs stay correlated.
         if np.linalg.norm(dense_out) > 0:
@@ -114,10 +108,10 @@ class TestMultiLayerNetworkConsistency:
         weights1 = rng.normal(size=(32, 48)) * (rng.random((32, 48)) < 0.2)
         weights2 = rng.normal(size=(16, 32)) * (rng.random((16, 32)) < 0.2)
         weights1[0, 0] = weights2[0, 0] = 0.3
-        model = ModelIR.from_network(FeedForwardNetwork([
-            FullyConnectedLayer(weight=weights1, name="fc1"),
-            FullyConnectedLayer(weight=weights2, name="fc2"),
-        ]))
+        model = ModelIR([
+            MatVecNode(name="fc1", weight=weights1),
+            MatVecNode(name="fc2", weight=weights2, source="fc1"),
+        ])
         inputs = rng.uniform(0, 1, size=48)
         outputs = []
         for num_pes in (1, 2, 8):
@@ -127,18 +121,18 @@ class TestMultiLayerNetworkConsistency:
         assert np.allclose(outputs[0], outputs[2])
 
     def test_software_network_and_accelerator_share_structure(self, rng):
-        layers = [
-            FullyConnectedLayer(weight=rng.normal(size=(24, 30)) * (rng.random((24, 30)) < 0.3),
-                                activation="relu", name="a"),
-            FullyConnectedLayer(weight=rng.normal(size=(10, 24)) * (rng.random((10, 24)) < 0.3),
-                                activation="identity", name="b"),
+        nodes = [
+            MatVecNode(name="a", weight=rng.normal(size=(24, 30)) * (rng.random((24, 30)) < 0.3),
+                       activation="relu", source=INPUT),
+            MatVecNode(name="b", weight=rng.normal(size=(10, 24)) * (rng.random((10, 24)) < 0.3),
+                       activation="identity", source="a"),
         ]
-        for layer in layers:
-            layer.weight[0, 0] = 0.4
-        network = FeedForwardNetwork(layers)
-        compressed = Session().compress_model(ModelIR.from_network(network), num_pes=4)
+        for node in nodes:
+            node.weight[0, 0] = 0.4
+        model = ModelIR(nodes)
+        compressed = Session().compress_model(model, num_pes=4)
         loaded = [compressed.layer(node.name) for node in compressed.model]
-        assert len(loaded) == len(network.layers)
-        assert loaded[0].cols == network.input_size
-        assert loaded[-1].rows == network.output_size
+        assert len(loaded) == len(model.nodes)
+        assert loaded[0].cols == model.input_size
+        assert loaded[-1].rows == model.output_size
         assert [layer.activation_name for layer in loaded] == ["relu", "identity"]

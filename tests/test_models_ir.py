@@ -16,9 +16,7 @@ from repro.models import (
     conv_activation_batch,
 )
 from repro.nn.convolution import conv2d_via_im2col
-from repro.nn.layers import FullyConnectedLayer
 from repro.nn.lstm import LSTM_GATE_NAMES, LSTMCell, LSTMState
-from repro.nn.model import FeedForwardNetwork
 
 
 def chain_model(rng: np.random.Generator, sizes=(12, 10, 8)) -> ModelIR:
@@ -64,6 +62,13 @@ class TestMatVecNode:
         assert np.allclose(node.forward(x), expected)
         batch = rng.normal(size=(5, 6))
         assert np.allclose(node.forward(batch)[2], node.forward(batch[2]))
+
+    def test_shape_properties_and_weight_density(self):
+        weight = np.zeros((4, 6))
+        weight[0, :3] = 1.0
+        node = MatVecNode(name="fc", weight=weight)
+        assert (node.rows, node.cols, node.num_weights) == (4, 6, 24)
+        assert node.weight_density == pytest.approx(3 / 24)
 
 
 class TestModelWiring:
@@ -129,6 +134,28 @@ class TestModelWiring:
         assert model.output_names == ("fc1",)
         assert model.input_size == 12 and model.output_size == 8
 
+    def test_size_properties(self, rng):
+        model = chain_model(rng)
+        assert model.num_parameters == model.total_macs == 10 * 12 + 8 * 10
+        assert len(model) == model.num_nodes == 2
+        assert [node.name for node in model] == ["fc0", "fc1"]
+        biased = ModelIR([MatVecNode(name="fc", weight=np.eye(3), bias=np.ones(3))])
+        assert biased.num_parameters == 9 + 3 and biased.total_macs == 9
+
+    def test_chain_trace_composes_the_nodes(self, rng):
+        model = chain_model(rng)
+        x = rng.normal(size=model.input_size)
+        trace = model.trace(x)
+        hidden = model.nodes[0].forward(x)
+        assert np.array_equal(trace.node_outputs["fc0"], hidden)
+        assert np.array_equal(trace.output, model.nodes[1].forward(hidden))
+        assert np.array_equal(model(x), trace.output)
+
+    def test_wrong_input_length_rejected(self, rng):
+        model = chain_model(rng)
+        with pytest.raises(ConfigurationError, match="model input"):
+            model.forward(np.zeros(model.input_size + 1))
+
     def test_trace_applies_slices(self, rng):
         nodes = [
             MatVecNode(name="head", weight=rng.normal(size=(4, 3)),
@@ -183,30 +210,6 @@ class TestModelWiring:
 
 
 class TestLowering:
-    def test_from_network_matches_dense_forward(self, rng):
-        layers = [
-            FullyConnectedLayer(weight=rng.normal(size=(10, 16)), activation="relu",
-                                bias=rng.normal(size=10), name="fc6"),
-            FullyConnectedLayer(weight=rng.normal(size=(4, 10)), activation="identity",
-                                name="fc7"),
-        ]
-        network = FeedForwardNetwork(layers, name="tail")
-        model = ModelIR.from_network(network)
-        assert model.name == "tail" and model.num_nodes == 2
-        x = rng.normal(size=16)
-        assert np.allclose(model.forward(x), network.forward(x))
-        trace = model.trace(x)
-        net_trace = network.trace(x)
-        assert np.allclose(trace.node_outputs["fc6"], net_trace.activations[0])
-
-    def test_from_network_disambiguates_duplicate_layer_names(self, rng):
-        layers = [
-            FullyConnectedLayer(weight=rng.normal(size=(8, 8)), name="fc"),
-            FullyConnectedLayer(weight=rng.normal(size=(8, 8)), name="fc"),
-        ]
-        model = ModelIR.from_network(FeedForwardNetwork(layers))
-        assert [node.name for node in model] == ["fc", "fc#2"]
-
     def test_from_lstm_per_gate_matches_gate_pre_activations(self, rng):
         cell = LSTMCell.random(9, 7, rng)
         model = ModelIR.from_lstm(cell, mode="per_gate")
@@ -305,6 +308,21 @@ class TestModelSpec:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ConfigurationError, match="scale"):
             ModelSpec(model="alexnet_fc", scale=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("scale", float("nan"), id="scale-nan"),
+            pytest.param("scale", float("inf"), id="scale-inf"),
+            pytest.param("scale", True, id="scale-bool"),
+            pytest.param("scale", "64", id="scale-str"),
+            pytest.param("seed", 1.5, id="seed-float"),
+            pytest.param("seed", True, id="seed-bool"),
+        ],
+    )
+    def test_non_finite_scale_and_non_integer_seed_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ModelSpec(model="alexnet_fc", **{field: value})
 
     def test_merged_overlays_scalars_and_params(self):
         defaults = ModelSpec(model="m", scale=8, seed=7, params={"mode": "per_gate"})

@@ -5,7 +5,7 @@ Tolerance contract (documented here and pinned below):
 * EIE stores weights as 4-bit indices into a 16-entry shared codebook
   (entry 0 reserved for zero), so a matrix with **at most 15 distinct
   non-zero values** is represented *exactly*.  For such networks the
-  functional engine's outputs match ``FeedForwardNetwork.forward`` to float64
+  functional engine's outputs match the dense ``ModelIR.forward`` to float64
   rounding (the only remaining difference is summation order between the
   PE-interleaved accumulation and the dense matmul): ``rtol=1e-10``.
 * For arbitrary float weights the k-means codebook introduces genuine
@@ -22,16 +22,25 @@ import pytest
 
 from repro.core import EIEConfig
 from repro.engine import Session
-from repro.models import ModelIR
-from repro.nn.layers import FullyConnectedLayer
-from repro.nn.model import FeedForwardNetwork
+from repro.models import INPUT, MatVecNode, ModelIR
 
 NUM_PES = 4
 #: Functional-engine vs dense-matmul tolerance (float64 summation order only).
 RTOL, ATOL = 1e-10, 1e-12
 
 
-def quantizable_network(rng: np.random.Generator) -> FeedForwardNetwork:
+def fc_chain(fc6: np.ndarray, fc7: np.ndarray, name: str) -> ModelIR:
+    """A ReLU fc6 feeding a linear fc7."""
+    return ModelIR(
+        [
+            MatVecNode(name="fc6", weight=fc6, activation="relu", source=INPUT),
+            MatVecNode(name="fc7", weight=fc7, activation="identity", source="fc6"),
+        ],
+        name=name,
+    )
+
+
+def quantizable_network(rng: np.random.Generator) -> ModelIR:
     """A sparse two-layer network whose weights use <= 15 distinct non-zeros."""
     palette = np.linspace(-0.8, 0.8, 15)
 
@@ -41,29 +50,17 @@ def quantizable_network(rng: np.random.Generator) -> FeedForwardNetwork:
         weights[0, 0] = palette[3]
         return weights
 
-    return FeedForwardNetwork(
-        [
-            FullyConnectedLayer(weight=matrix(24, 32), activation="relu", name="fc6"),
-            FullyConnectedLayer(weight=matrix(12, 24), activation="identity", name="fc7"),
-        ],
-        name="quantizable",
-    )
+    return fc_chain(matrix(24, 32), matrix(12, 24), "quantizable")
 
 
-def arbitrary_network(rng: np.random.Generator) -> FeedForwardNetwork:
+def arbitrary_network(rng: np.random.Generator) -> ModelIR:
     def matrix(rows: int, cols: int) -> np.ndarray:
         weights = rng.normal(0.0, 0.3, size=(rows, cols))
         weights[rng.random((rows, cols)) >= 0.25] = 0.0
         weights[0, 0] = 0.5
         return weights
 
-    return FeedForwardNetwork(
-        [
-            FullyConnectedLayer(weight=matrix(20, 28), activation="relu", name="fc6"),
-            FullyConnectedLayer(weight=matrix(10, 20), activation="identity", name="fc7"),
-        ],
-        name="arbitrary",
-    )
+    return fc_chain(matrix(20, 28), matrix(10, 20), "arbitrary")
 
 
 @pytest.fixture
@@ -73,8 +70,7 @@ def session() -> Session:
 
 class TestExactCodebookParity:
     def test_per_node_and_end_to_end_match_dense_forward(self, rng, session):
-        network = quantizable_network(rng)
-        model = ModelIR.from_network(network)
+        model = quantizable_network(rng)
         inputs = np.abs(rng.normal(size=(4, model.input_size)))
         run = session.run_model("functional", model, inputs)
 
@@ -84,20 +80,19 @@ class TestExactCodebookParity:
             assert np.array_equal(layer.dense_weights(), node.weight)
 
         for index, row in enumerate(inputs):
-            trace = network.trace(row)
-            # Per-node: every engine output against the dense layer output.
-            for node_index, node_run in enumerate(run.nodes):
+            trace = model.trace(row)
+            # Per-node: every engine output against the dense node output.
+            for node_run in run.nodes:
                 assert np.allclose(
                     node_run.result.outputs[index],
-                    trace.activations[node_index],
+                    trace.node_output(node_run.name),
                     rtol=RTOL, atol=ATOL,
                 )
             # End-to-end.
             assert np.allclose(run.outputs[index], trace.output, rtol=RTOL, atol=ATOL)
 
     def test_single_vector_run_matches_batch_row(self, rng, session):
-        network = quantizable_network(rng)
-        model = ModelIR.from_network(network)
+        model = quantizable_network(rng)
         inputs = np.abs(rng.normal(size=(3, model.input_size)))
         batched = session.run_model("functional", model, inputs)
         single = session.run_model("functional", model, inputs[1])
@@ -108,35 +103,27 @@ class TestExactCodebookParity:
 
 class TestQuantizedParity:
     def test_matches_decoded_weight_network(self, rng, session):
-        network = arbitrary_network(rng)
-        model = ModelIR.from_network(network)
+        model = arbitrary_network(rng)
         inputs = np.abs(rng.normal(size=(2, model.input_size)))
         run = session.run_model("functional", model, inputs)
         compressed = session.compress_model(model, NUM_PES)
-        decoded_network = FeedForwardNetwork(
-            [
-                FullyConnectedLayer(
-                    weight=compressed.layer(node.name).dense_weights(),
-                    activation=node.activation,
-                    name=node.name,
-                )
-                for node in model
-            ],
-            name="decoded",
+        decoded = fc_chain(
+            compressed.layer("fc6").dense_weights(),
+            compressed.layer("fc7").dense_weights(),
+            "decoded",
         )
         for index, row in enumerate(inputs):
-            trace = decoded_network.trace(row)
-            for node_index, node_run in enumerate(run.nodes):
+            trace = decoded.trace(row)
+            for node_run in run.nodes:
                 assert np.allclose(
                     node_run.result.outputs[index],
-                    trace.activations[node_index],
+                    trace.node_output(node_run.name),
                     rtol=RTOL, atol=ATOL,
                 )
             assert np.allclose(run.outputs[index], trace.output, rtol=RTOL, atol=ATOL)
 
     def test_quantization_error_vs_float_network_is_bounded(self, rng, session):
-        network = arbitrary_network(rng)
-        model = ModelIR.from_network(network)
+        model = arbitrary_network(rng)
         inputs = np.abs(rng.normal(size=(4, model.input_size)))
         run = session.run_model("functional", model, inputs)
         reference = model.trace(inputs).output

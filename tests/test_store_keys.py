@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.compression.pipeline import CompressionConfig, weights_fingerprint
+from repro.models import build_model
 from repro.models.ir import MatVecNode, ModelIR
 from repro.store.artifacts import ArtifactStore
 
@@ -74,3 +75,35 @@ def test_model_fingerprint_pinned():
     assert model.fingerprint() == (
         "853aaa650f76f070b97d25bf9723b0a2dce9f8c0ab12509547833b50998686f3"
     )
+
+
+#: Registry builds of the paper's networks; the builders must keep emitting
+#: the same weight bytes, names and wiring, or every stored model goes cold.
+REGISTRY_DIGESTS = {
+    "alexnet_fc": (
+        ("alexnet_fc", {"scale": 64}),
+        "984f058836d53b5ad1352b1cf64bd3ce9f2fafd99019583e4ff2fbf3c9669223",
+    ),
+    "vgg_fc": (
+        ("vgg_fc", {"scale": 64}),
+        "5c04ce17d6dd5f9b3d13d0246f06a9595839c19d80d81c4496b96ac12e0ea040",
+    ),
+    "alexnet_fc_seed3": (
+        ("alexnet_fc", {"scale": 64, "seed": 3}),
+        "39079f0bf9d6f7560122ad9ae5aff8872ff5a35ab451cf4172412c14779b8237",
+    ),
+    "neuraltalk_lstm_per_gate": (
+        ("neuraltalk_lstm", {"scale": 16, "params": {"mode": "per_gate"}}),
+        "4a1c9369700ca4fe2cb9d2cd13e2a29395e4ffa871182d8708c50003082ea66f",
+    ),
+    "neuraltalk_lstm_stacked": (
+        ("neuraltalk_lstm", {"scale": 16, "params": {"mode": "stacked"}}),
+        "37a161d6f8d363e68b1dff9231a4066f8ba41b04de318dbe0e08f81947a28bc6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGISTRY_DIGESTS))
+def test_registry_model_fingerprint_pinned(case):
+    (name, overrides), digest = REGISTRY_DIGESTS[case]
+    assert build_model(name, **overrides).fingerprint() == digest

@@ -15,6 +15,7 @@ from repro.utils import (
     require_non_negative,
     require_positive,
     require_power_of_two,
+    require_spec_numbers,
     require_vector,
 )
 
@@ -90,3 +91,25 @@ class TestValidation:
         assert matrix.shape == (2, 3)
         with pytest.raises(ConfigurationError):
             require_matrix("m", np.zeros(3))
+
+    def test_require_spec_numbers_accepts_valid_and_unset_values(self):
+        require_spec_numbers(None, seed=None)
+        require_spec_numbers(0.5, seed=0, repeats=np.int64(3))
+        require_spec_numbers(np.float32(64.0), seed=7)
+
+    @pytest.mark.parametrize(
+        "scale, integers, match",
+        [
+            pytest.param(float("nan"), {}, "scale", id="scale-nan"),
+            pytest.param(float("inf"), {}, "scale", id="scale-inf"),
+            pytest.param(0, {}, "scale", id="scale-zero"),
+            pytest.param(True, {}, "scale", id="scale-bool"),
+            pytest.param("64", {}, "scale", id="scale-str"),
+            pytest.param(None, {"seed": 1.5}, "seed", id="seed-float"),
+            pytest.param(None, {"seed": True}, "seed", id="seed-bool"),
+            pytest.param(None, {"seed": "7"}, "seed", id="seed-str"),
+        ],
+    )
+    def test_require_spec_numbers_rejects(self, scale, integers, match):
+        with pytest.raises(ConfigurationError, match=match):
+            require_spec_numbers(scale, **integers)

@@ -14,7 +14,6 @@ from repro.workloads.models import (
     build_alexnet_fc_network,
     build_neuraltalk_lstm,
     build_vgg_fc_network,
-    random_dense_layer,
 )
 from repro.workloads.synthetic import (
     generate_activations,
@@ -163,22 +162,20 @@ class TestWorkloadBuilder:
 
 class TestModelBuilders:
     def test_alexnet_chain_runs(self):
-        network = build_alexnet_fc_network(scale=96)
-        output = network.forward(np.random.default_rng(0).uniform(size=network.input_size))
-        assert output.shape == (network.output_size,)
+        model = build_alexnet_fc_network(scale=96)
+        output = model.forward(np.random.default_rng(0).uniform(size=model.input_size))
+        assert output.shape == (model.output_size,)
+        assert [node.activation for node in model] == ["relu", "relu", "identity"]
 
     def test_vgg_chain_runs(self):
-        network = build_vgg_fc_network(scale=128)
-        assert len(network) == 3
+        model = build_vgg_fc_network(scale=128)
+        assert len(model) == 3
+        assert [node.source for node in model][1:] == [node.name for node in model][:-1]
 
     def test_neuraltalk_lstm_step(self):
         cell = build_neuraltalk_lstm(scale=32)
         state = cell.step(np.zeros(cell.input_size), cell.run_sequence(np.zeros((1, cell.input_size)))[0])
         assert state.hidden.shape == (cell.hidden_size,)
-
-    def test_random_dense_layer_density(self, tiny_spec):
-        layer = random_dense_layer(tiny_spec)
-        assert layer.weight_density == pytest.approx(tiny_spec.weight_density, abs=0.06)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(WorkloadError):
