@@ -152,6 +152,11 @@ class MatVecNode:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """``f(W a + bias)`` for one vector or a ``(batch, cols)`` matrix."""
         inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim not in (1, 2) or inputs.shape[-1] != self.cols:
+            raise ConfigurationError(
+                f"node {self.name!r} takes ({self.cols},) or (batch, {self.cols}) "
+                f"inputs, got shape {inputs.shape}"
+            )
         pre = inputs @ self.weight.T if inputs.ndim == 2 else self.weight @ inputs
         if self.bias is not None:
             pre = pre + self.bias

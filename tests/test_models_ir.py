@@ -63,13 +63,6 @@ class TestMatVecNode:
         batch = rng.normal(size=(5, 6))
         assert np.allclose(node.forward(batch)[2], node.forward(batch[2]))
 
-    def test_shape_properties_and_weight_density(self):
-        weight = np.zeros((4, 6))
-        weight[0, :3] = 1.0
-        node = MatVecNode(name="fc", weight=weight)
-        assert (node.rows, node.cols, node.num_weights) == (4, 6, 24)
-        assert node.weight_density == pytest.approx(3 / 24)
-
 
 class TestModelWiring:
     def test_duplicate_names_rejected(self, rng):
@@ -133,28 +126,6 @@ class TestModelWiring:
         model = chain_model(rng)
         assert model.output_names == ("fc1",)
         assert model.input_size == 12 and model.output_size == 8
-
-    def test_size_properties(self, rng):
-        model = chain_model(rng)
-        assert model.num_parameters == model.total_macs == 10 * 12 + 8 * 10
-        assert len(model) == model.num_nodes == 2
-        assert [node.name for node in model] == ["fc0", "fc1"]
-        biased = ModelIR([MatVecNode(name="fc", weight=np.eye(3), bias=np.ones(3))])
-        assert biased.num_parameters == 9 + 3 and biased.total_macs == 9
-
-    def test_chain_trace_composes_the_nodes(self, rng):
-        model = chain_model(rng)
-        x = rng.normal(size=model.input_size)
-        trace = model.trace(x)
-        hidden = model.nodes[0].forward(x)
-        assert np.array_equal(trace.node_outputs["fc0"], hidden)
-        assert np.array_equal(trace.output, model.nodes[1].forward(hidden))
-        assert np.array_equal(model(x), trace.output)
-
-    def test_wrong_input_length_rejected(self, rng):
-        model = chain_model(rng)
-        with pytest.raises(ConfigurationError, match="model input"):
-            model.forward(np.zeros(model.input_size + 1))
 
     def test_trace_applies_slices(self, rng):
         nodes = [

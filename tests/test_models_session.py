@@ -9,7 +9,6 @@ from repro.core import EIEConfig
 from repro.engine import Session
 from repro.errors import ConfigurationError
 from repro.models import INPUT, MatVecNode, ModelIR, build_model
-from repro.models.compressed import measured_density
 from repro.nn.layers import ACTIVATIONS
 
 NUM_PES = 4
@@ -252,11 +251,3 @@ class TestRunModel:
             run.node_outputs["u"][0],
             run.nodes[1].layer.dense_weights() @ inputs[10:],
         )
-
-
-class TestMeasuredDensity:
-    def test_density_values(self):
-        assert measured_density(np.array([0.0, 1.0, 0.0, 2.0])) == pytest.approx(0.5)
-        assert measured_density(np.array([[0.0, 1.0], [3.0, 0.0]])) == pytest.approx(0.5)
-        assert measured_density(np.zeros(4)) == 0.0
-        assert measured_density(np.array([])) == 0.0

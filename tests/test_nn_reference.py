@@ -1,59 +1,16 @@
-"""Tests for the dense/sparse reference kernels."""
+"""Tests for the measured density of activation and weight arrays."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.nn.reference import CSRMatrix, csr_matrix_vector, dense_matrix_vector, sparse_density
-
-
-class TestDenseMatrixVector:
-    def test_matches_numpy(self, rng):
-        weight = rng.normal(size=(6, 9))
-        activation = rng.normal(size=9)
-        assert np.allclose(dense_matrix_vector(weight, activation), weight @ activation)
-
-    def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            dense_matrix_vector(rng.normal(size=(3, 4)), rng.normal(size=5))
+from repro.models.compressed import measured_density
 
 
 class TestSparseDensity:
     def test_density_values(self):
-        assert sparse_density(np.array([0.0, 1.0, 0.0, 2.0])) == pytest.approx(0.5)
-        assert sparse_density(np.zeros(4)) == 0.0
-        assert sparse_density(np.array([])) == 0.0
-
-
-class TestCSRMatrix:
-    def test_roundtrip(self, sparse_weights):
-        csr = CSRMatrix.from_dense(sparse_weights)
-        assert np.allclose(csr.to_dense(), sparse_weights)
-
-    def test_nnz_and_density(self, sparse_weights):
-        csr = CSRMatrix.from_dense(sparse_weights)
-        assert csr.nnz == np.count_nonzero(sparse_weights)
-        assert csr.density == pytest.approx(np.count_nonzero(sparse_weights) / sparse_weights.size)
-
-    def test_matvec_matches_dense(self, sparse_weights, rng):
-        csr = CSRMatrix.from_dense(sparse_weights)
-        activation = rng.normal(size=sparse_weights.shape[1])
-        assert np.allclose(csr_matrix_vector(csr, activation), sparse_weights @ activation)
-
-    def test_matvec_with_sparse_activation(self, sparse_weights, dense_activations):
-        csr = CSRMatrix.from_dense(sparse_weights)
-        assert np.allclose(
-            csr_matrix_vector(csr, dense_activations), sparse_weights @ dense_activations
-        )
-
-    def test_empty_matrix(self):
-        csr = CSRMatrix.from_dense(np.zeros((3, 4)))
-        assert csr.nnz == 0
-        assert np.allclose(csr_matrix_vector(csr, np.ones(4)), np.zeros(3))
-
-    def test_matvec_length_checked(self, sparse_weights):
-        csr = CSRMatrix.from_dense(sparse_weights)
-        with pytest.raises(ConfigurationError):
-            csr_matrix_vector(csr, np.zeros(sparse_weights.shape[1] + 1))
+        assert measured_density(np.array([0.0, 1.0, 0.0, 2.0])) == pytest.approx(0.5)
+        assert measured_density(np.array([[0.0, 1.0], [3.0, 0.0]])) == pytest.approx(0.5)
+        assert measured_density(np.zeros(4)) == 0.0
+        assert measured_density(np.array([])) == 0.0

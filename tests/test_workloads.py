@@ -8,6 +8,7 @@ import pytest
 from repro.compression.csc import InterleavedCSC
 from repro.core.config import EIEConfig
 from repro.errors import WorkloadError
+from repro.models import MatVecNode
 from repro.workloads.benchmarks import ALL_BENCHMARKS, BENCHMARK_NAMES, LayerSpec, get_benchmark, scaled_benchmarks
 from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.models import (
@@ -176,6 +177,10 @@ class TestModelBuilders:
         cell = build_neuraltalk_lstm(scale=32)
         state = cell.step(np.zeros(cell.input_size), cell.run_sequence(np.zeros((1, cell.input_size)))[0])
         assert state.hidden.shape == (cell.hidden_size,)
+
+    def test_random_dense_layer_density(self, tiny_spec):
+        layer = MatVecNode(name=tiny_spec.name, weight=generate_dense_weights(tiny_spec))
+        assert layer.weight_density == pytest.approx(tiny_spec.weight_density, abs=0.06)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(WorkloadError):
