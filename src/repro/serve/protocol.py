@@ -30,11 +30,16 @@ typed :mod:`repro.errors` exceptions.  Floats cross the wire as JSON
 numbers, which Python serializes via ``repr`` (shortest round-trip form),
 so output vectors and simulated latencies survive the protocol **bit for
 bit** — the CI drain test depends on this.
+
+No request gets its own task: an ``infer`` line is queued inline and a
+done-callback writes its reply to an outbox flushed once per event-loop
+pass.  The client waits on one future and one ``call_later`` timer.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from typing import Any
 
@@ -51,6 +56,7 @@ from repro.errors import (
     WorkerCrashedError,
 )
 from repro.serve.server import Server, ServeResponse
+from repro.utils.validation import is_finite_real
 
 __all__ = ["start_daemon", "AsyncServeClient"]
 
@@ -129,7 +135,18 @@ def _error_from_payload(payload: dict[str, Any]) -> ReproError:
     return ServeError(text)
 
 
-async def _handle_message(server: Server, message: dict[str, Any]) -> dict[str, Any]:
+def _response_payload(request_id: Any, response: ServeResponse) -> dict[str, Any]:
+    return {
+        "id": request_id, "ok": True, "model": response.model,
+        "outputs": response.output.tolist(), "batch_size": response.batch_size,
+        "total_cycles": response.total_cycles, "latency_s": response.latency_s,
+        "energy_j": response.energy_j, "queue_wait_s": response.queue_wait_s,
+        "service_s": response.service_s,
+    }
+
+
+def _answer(server: Server, message: dict[str, Any]) -> dict[str, Any] | asyncio.Future:
+    """The reply to ``message``, or the future of the infer it queued."""
     request_id = message.get("id")
     op = message.get("op")
     try:
@@ -138,25 +155,11 @@ async def _handle_message(server: Server, message: dict[str, Any]) -> dict[str, 
             vector = message.get("input")
             if not isinstance(model, str) or vector is None:
                 raise ServeError("infer needs a 'model' name and an 'input' vector")
-            # Server.submit rejects a non-finite, boolean or non-positive
+            # Server.enqueue rejects a non-finite, boolean or non-positive
             # deadline_s (json.loads accepts NaN and Infinity).
-            response = await server.submit(
-                model,
-                np.asarray(vector, dtype=np.float64),
-                deadline_s=message.get("deadline_s"),
+            return server.enqueue(
+                model, np.asarray(vector, dtype=np.float64), deadline_s=message.get("deadline_s")
             )
-            return {
-                "id": request_id,
-                "ok": True,
-                "model": response.model,
-                "outputs": response.output.tolist(),
-                "batch_size": response.batch_size,
-                "total_cycles": response.total_cycles,
-                "latency_s": response.latency_s,
-                "energy_j": response.energy_j,
-                "queue_wait_s": response.queue_wait_s,
-                "service_s": response.service_s,
-            }
         if op == "models":
             return {
                 "id": request_id,
@@ -169,70 +172,81 @@ async def _handle_message(server: Server, message: dict[str, Any]) -> dict[str, 
             return {"id": request_id, "ok": True, "health": server.health()}
         if op == "chaos":
             injected = server.inject_chaos(
-                float(message.get("latency_s", 0.0)),
-                float(message.get("duration_s", 0.0)),
+                message.get("latency_s", 0.0), message.get("duration_s", 0.0)
             )
             return {"id": request_id, "ok": True, "chaos": injected}
         if op == "ping":
             return {"id": request_id, "ok": True, "pong": True}
         raise ServeError(f"unknown operation {op!r}")
-    except BaseException as exc:
+    except Exception as exc:
         return _error_payload(request_id, exc)
+
+
+def _parse_line(line: bytes) -> str | dict[str, Any]:
+    """The message on ``line``, or the reason it is not a valid one."""
+    try:
+        message = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"bad JSON: {exc}"
+    if not isinstance(message, dict):
+        return f"message must be a JSON object, got {type(message).__name__}"
+    request_id = message.get("id")
+    # No bool, NaN or Infinity (json.loads reads them): NaN echoes as bad JSON.
+    if not (request_id is None or isinstance(request_id, str) or is_finite_real(request_id)):
+        return "'id' must be a JSON string, number or null"
+    return message
 
 
 async def _handle_connection(
     server: Server, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
-    write_lock = asyncio.Lock()
-    tasks: set[asyncio.Task] = set()
+    # Many in-flight infers from one connection are what the dynamic batcher
+    # coalesces; a batch's replies leave in one write, and EOF waits for all.
+    loop = asyncio.get_running_loop()
+    outbox: list[bytes] = []
+    in_flight: set[asyncio.Future] = set()
 
-    async def process(message: dict[str, Any]) -> None:
-        payload = await _handle_message(server, message)
-        async with write_lock:
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
+    def flush() -> None:
+        if outbox:
+            writer.write(b"".join(outbox))
+            outbox.clear()
 
-    async def reject(reason: str) -> None:
-        # A malformed line is that *line's* problem, never the connection's:
-        # answer it with a typed error and keep reading.
-        async with write_lock:
-            writer.write(
-                json.dumps(_error_payload(None, ServeError(reason))).encode() + b"\n"
-            )
-            await writer.drain()
+    def send(payload: dict[str, Any]) -> None:
+        if not outbox:
+            loop.call_soon(flush)
+        outbox.append(json.dumps(payload).encode() + b"\n")
+
+    def reply(request_id: Any, future: asyncio.Future) -> None:
+        in_flight.discard(future)
+        exc = future.exception()
+        send(_error_payload(request_id, exc) if exc else _response_payload(request_id, future.result()))
 
     try:
         while True:
             try:
+                await writer.drain()
                 line = await reader.readline()
-            except (ConnectionResetError, asyncio.LimitOverrunError):
+            except (ConnectionError, ValueError):  # ValueError: a line over the limit
                 break
             if not line:
                 break
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError as exc:
-                await reject(f"bad JSON: {exc}")
+            message = _parse_line(line)
+            if isinstance(message, str):
+                # A malformed line is that *line's* problem, never the
+                # connection's: answer it with a typed error and keep reading.
+                send(_error_payload(None, ServeError(message)))
                 continue
-            if not isinstance(message, dict):
-                await reject(
-                    f"message must be a JSON object, got {type(message).__name__}"
-                )
-                continue
-            request_id = message.get("id")
-            if request_id is not None and not isinstance(request_id, (str, int, float)):
-                await reject("'id' must be a JSON string, number or null")
-                continue
-            # Each message runs concurrently: many in-flight infers from one
-            # connection are what the dynamic batcher coalesces.
-            task = asyncio.create_task(process(message))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            answer = _answer(server, message)
+            if isinstance(answer, dict):
+                send(answer)
+            else:
+                in_flight.add(answer)
+                answer.add_done_callback(functools.partial(reply, message.get("id")))
+        if in_flight:
+            await asyncio.wait(in_flight)
+        flush()
     finally:
         writer.close()
         try:
@@ -251,11 +265,15 @@ async def start_daemon(
     ``await server.close()`` to drain — queued requests are still answered
     on their open connections.
     """
+    return await asyncio.start_server(
+        functools.partial(_handle_connection, server), host=host, port=port, limit=_LINE_LIMIT
+    )
 
-    async def handler(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        await _handle_connection(server, reader, writer)
 
-    return await asyncio.start_server(handler, host=host, port=port, limit=_LINE_LIMIT)
+def _check_timeout(timeout_s: float | None) -> None:
+    # A NaN timeout would corrupt the event loop's timer heap (call_later).
+    if timeout_s is not None and not (is_finite_real(timeout_s) and timeout_s > 0):
+        raise ServeError(f"timeout_s must be a finite positive number or None, got {timeout_s!r}")
 
 
 class AsyncServeClient:
@@ -287,8 +305,7 @@ class AsyncServeClient:
         retries: int = 0,
         backoff_s: float = 0.05,
     ) -> None:
-        if timeout_s is not None and timeout_s <= 0:
-            raise ServeError(f"timeout_s must be positive or None, got {timeout_s}")
+        _check_timeout(timeout_s)
         if retries < 0:
             raise ServeError(f"retries must be >= 0, got {retries}")
         if backoff_s < 0:
@@ -297,7 +314,6 @@ class AsyncServeClient:
         self._writer = writer
         self._pending: dict[int, asyncio.Future] = {}
         self._next_id = 0
-        self._write_lock = asyncio.Lock()
         self.timeout_s = timeout_s
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
@@ -347,28 +363,34 @@ class AsyncServeClient:
                     )
             self._pending.clear()
 
+    def _expire(self, request_id: int, timeout: float) -> None:
+        future = self._pending.pop(request_id, None)
+        if future is not None and not future.done():
+            message = f"no response to request {request_id} within {timeout}s"
+            future.set_exception(ServeTimeoutError(message, timeout_s=timeout))
+
     async def _call(
         self, message: dict[str, Any], timeout_s: float | None = None
     ) -> dict[str, Any]:
         if self._reader_task.done():
             raise ServerClosedError("client connection is closed")
+        _check_timeout(timeout_s)
         self._next_id += 1
         request_id = self._next_id
         message = {"id": request_id, **message}
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._pending[request_id] = future
-        async with self._write_lock:
-            self._writer.write(json.dumps(message).encode() + b"\n")
-            await self._writer.drain()
+        self._writer.write(json.dumps(message).encode() + b"\n")
+        await self._writer.drain()
         timeout = self.timeout_s if timeout_s is None else timeout_s
+        # The timer fails the future itself: no wait_for task wraps the wait.
+        timer = None if timeout is None else loop.call_later(timeout, self._expire, request_id, timeout)
         try:
-            payload = await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
-            raise ServeTimeoutError(
-                f"no response to request {request_id} within {timeout}s",
-                timeout_s=timeout,
-            ) from None
+            payload = await future
+        finally:
+            if timer is not None:
+                timer.cancel()
         if payload.get("ok"):
             return payload
         raise _error_from_payload(payload)

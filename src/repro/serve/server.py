@@ -14,7 +14,7 @@ the same vector would produce, no matter which requests it was batched
 with.
 
 Flow control is explicit: each model has a bounded request queue; when it
-is full, :meth:`submit` raises
+is full, :meth:`enqueue` (and :meth:`submit`, which awaits it) raises
 :class:`~repro.errors.ServerOverloadedError` carrying a ``retry_after_s``
 estimate derived from the queue depth and the smoothed per-request service
 time, instead of letting latency grow without bound.  :meth:`close` drains:
@@ -25,8 +25,6 @@ queued requests are still served, new ones are rejected with
 from __future__ import annotations
 
 import asyncio
-import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +44,7 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.hardware.area import chip_energy_j
+from repro.utils.validation import is_finite_real
 
 __all__ = ["BatchPolicy", "ServeResponse", "Server"]
 
@@ -306,20 +305,21 @@ class Server:
     async def submit(
         self, model: str, vector: np.ndarray, deadline_s: float | None = None
     ) -> ServeResponse:
-        """Serve one input vector; resolves when its batch has run.
+        """Serve one input vector; resolves when its batch has run (see :meth:`enqueue`)."""
+        return await self.enqueue(model, vector, deadline_s=deadline_s)
+
+    def enqueue(
+        self, model: str, vector: np.ndarray, deadline_s: float | None = None
+    ) -> asyncio.Future:
+        """Queue one input vector (every check raises here); the future gets its response.
 
         ``deadline_s`` is the request's relative deadline: if it expires
-        while the request is still queued, the request fails with
+        while the request is still queued, the future fails with
         :class:`DeadlineExceededError` *without being computed* — doomed
         work is shed before it wastes a dispatch slot.  It must be a finite,
         positive real number (not a bool): a NaN deadline would never expire.
         """
-        if deadline_s is not None and (
-            isinstance(deadline_s, bool)
-            or not isinstance(deadline_s, numbers.Real)
-            or not math.isfinite(deadline_s)
-            or deadline_s <= 0
-        ):
+        if deadline_s is not None and not (is_finite_real(deadline_s) and deadline_s > 0):
             raise ServeError(
                 f"deadline_s must be a finite positive number or None, got {deadline_s!r}"
             )
@@ -355,7 +355,7 @@ class Server:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         state.queue.put_nowait(_PendingRequest(row, future, deadline_s=deadline_s))
         state.stats["queue_peak"] = max(state.stats["queue_peak"], state.queue.qsize())
-        return await future
+        return future
 
     async def _batcher_loop(self, state: _ModelState) -> None:
         """Coalesce queued requests into batches and dispatch them."""
@@ -538,8 +538,10 @@ class Server:
         """
         if not self.chaos_enabled:
             raise ServeError("chaos injection is disabled (start with chaos=True)")
-        if latency_s < 0 or duration_s < 0:
-            raise ServeError("chaos latency_s and duration_s must be >= 0")
+        if not all(is_finite_real(value) and value >= 0 for value in (latency_s, duration_s)):
+            raise ServeError(
+                f"chaos latency_s and duration_s must be finite and >= 0, got {latency_s!r}, {duration_s!r}"
+            )
         self._chaos_latency_s = float(latency_s)
         self._chaos_until = time.monotonic() + float(duration_s)
         return {"latency_s": self._chaos_latency_s, "duration_s": float(duration_s)}

@@ -24,6 +24,7 @@ __all__ = [
     "require_vector",
     "require_matrix",
     "require_spec_numbers",
+    "is_finite_real",
 ]
 
 
@@ -91,10 +92,13 @@ def require_spec_numbers(scale: object, **integers: object) -> None:
             isinstance(value, bool) or not isinstance(value, numbers.Integral)
         ):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if scale is not None and (
-        isinstance(scale, bool)
-        or not isinstance(scale, numbers.Real)
-        or not math.isfinite(scale)
-        or scale <= 0
-    ):
+    if scale is not None and not (is_finite_real(scale) and scale > 0):
         raise ConfigurationError(f"scale must be a finite number > 0, got {scale!r}")
+
+
+def is_finite_real(value: object) -> bool:
+    """Whether ``value`` is a finite real number (any integer is); no bool is."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and math.isfinite(value))
+    )

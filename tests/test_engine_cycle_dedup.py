@@ -13,8 +13,11 @@ pin:
   per-item ``simulate_layer_cycles`` over every PE on every ``CycleStats``
   field, and the propagated outputs equal the unfused functional engine's;
 * the cuts themselves — rows sharing one mask reach the batched recurrence
-  as a single work matrix, and a model's sibling gates reach it in one call,
-  so a later refactor cannot silently undo either;
+  as a single work matrix, a model's sibling gates reach it in one call, and
+  a repeated all-columns mask (a dense input) does not reach it again, so a
+  later refactor cannot silently undo any of them;
+* that the kept all-columns timing follows FIFO-depth and clock changes on
+  one session, next to masks that still simulate;
 * safety of the sharing — the record is frozen and its ``busy_cycles`` is
   read-only, so one item cannot mutate another item's record.
 """
@@ -263,6 +266,56 @@ class TestDedupCut:
         assert len(run.nodes) == 4
         assert recorded_batches == [4]
         assert all(len(record.result.cycles) == 4 for record in run.nodes)
+
+
+    def test_second_full_broadcast_skips_the_recurrence(self, recorded_batches):
+        model = build_model("neuraltalk_lstm", scale=32, params={"mode": "per_gate"})
+        session = Session(config=EIEConfig(num_pes=8))
+        full = np.ones((1, model.input_size), dtype=bool)
+        first = session.run_model("cycle", model, _batch_from_masks(full, [0] * 4, seed=6))
+        second = session.run_model("cycle", model, _batch_from_masks(full, [0] * 3, seed=7))
+        assert recorded_batches == [4]
+        for before, after in zip(first.nodes, second.nodes):
+            assert all(stats is before.result.cycles[0] for stats in after.result.cycles)
+
+
+_STEPS = (  # (fifo_depth, clock_mhz, picks from [full, partial, zero])
+    (8, 800.0, [0, 1, 0]),
+    (8, 800.0, [1, 0, 2, 0]),  # full-mask hit next to masks that still simulate
+    (8, 800.0, [0]),  # a batch of the full mask alone
+    (2, 800.0, [0, 1]),  # new depth: the full mask simulates again
+    (8, 500.0, [1, 0]),  # new clock, same depth: and again
+    (2, 800.0, [0, 2]),
+    (8, 800.0, [0, 0, 1]),
+)
+
+
+class TestFullMaskTimingIsExact:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _sibling_case([_A], [0], model=("neuraltalk_lstm", "per_gate")),
+            _sibling_case([_A], [0], rows=(12, 7, 9)),
+        ],
+    )
+    def test_one_session_matches_fresh_sessions_and_the_oracle(self, case):
+        model = _sibling_model(case)
+        cols = model.input_size
+        masks = np.array([[True] * cols, [index % 3 != 0 for index in range(cols)], [False] * cols])
+        session = Session(config=EIEConfig(num_pes=4))
+        layers = session.compress_model(model, 4).layers
+        for step, (fifo_depth, clock_mhz, picks) in enumerate(_STEPS):
+            config = EIEConfig(num_pes=4, fifo_depth=fifo_depth, clock_mhz=clock_mhz)
+            inputs = _batch_from_masks(masks, picks, seed=step)
+            ours = session.run_model("cycle", model, inputs, config)
+            fresh = Session(config=config).run_model("cycle", model, inputs, config)
+            for node, record, reference in zip(model, ours.nodes, fresh.nodes):
+                node_inputs = model.node_input(node, inputs, ours.node_outputs)
+                for row, mine, theirs in zip(
+                    node_inputs, record.result.cycles, reference.result.cycles, strict=True
+                ):
+                    assert_stats_identical(mine, theirs)
+                    assert_stats_identical(mine, cycle_oracle(layers[node.name], config, row))
 
 
 class TestSharedStatsAreReadOnly:

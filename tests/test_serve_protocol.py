@@ -31,6 +31,25 @@ def model():
     return build_model("neuraltalk_lstm", scale=64)
 
 
+def _run(main):
+    """``asyncio.run(main)``, failing if any event-loop callback raised.
+
+    The daemon answers requests from future done-callbacks, whose errors
+    the loop would otherwise only log.
+    """
+    errors: list[dict] = []
+
+    async def checked():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        return await main
+
+    result = asyncio.run(checked())
+    assert not errors, errors
+    return result
+
+
 def _with_daemon(model, coro_factory, **server_kwargs):
     """Run ``coro_factory(client, server)`` against an ephemeral-port daemon."""
 
@@ -47,7 +66,7 @@ def _with_daemon(model, coro_factory, **server_kwargs):
             await listener.wait_closed()
             await server.close()
 
-    return asyncio.run(drive())
+    return _run(drive())
 
 
 class TestRoundTrip:
@@ -110,7 +129,7 @@ class TestRoundTrip:
                 await listener.wait_closed()
                 await server.close()
 
-        described = asyncio.run(drive())
+        described = _run(drive())
         spec = described[model.name]["spec"]
         assert spec == {
             "model": "neuraltalk_lstm",
@@ -151,9 +170,8 @@ class TestErrors:
             port_reader, port_writer = client._reader, client._writer
             # Ride the same socket below the client: a bad line must get an
             # error response and must not kill the connection.
-            async with client._write_lock:
-                port_writer.write(b"this is not json\n")
-                await port_writer.drain()
+            port_writer.write(b"this is not json\n")
+            await port_writer.drain()
             with pytest.raises(ServeError, match="unknown operation"):
                 await client._call({"op": "frobnicate"})
             assert await client.ping()
@@ -212,6 +230,124 @@ class TestProtocolRobustness:
             assert await client.ping()
 
         _with_daemon(model, scenario)
+
+
+    def test_pipelined_lines_then_half_close_each_answered_once(self, model):
+        inputs = synthetic_model_inputs(model, batch=64, seed=29)
+        session = Session(config=CONFIG)
+        offline = [session.run_model("cycle", model, row, CONFIG).outputs[0] for row in inputs]
+        lines = [
+            json.dumps({"id": i, "op": "infer", "model": model.name, "input": row.tolist()})
+            for i, row in enumerate(inputs)
+        ]
+        lines += ["not json", json.dumps({"id": "p", "op": "ping"}), '{"id": "s", "op": "stats"}']
+
+        async def half_close(host, port, payload):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(payload)
+            await writer.drain()
+            writer.write_eof()
+            # The daemon answers everything in flight, flushes, then closes.
+            replies = [json.loads(line) for line in (await reader.read()).splitlines()]
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        async def scenario(client, server):
+            host, port = client._writer.get_extra_info("peername")[:2]
+            # Nothing in flight at EOF: the queued replies still go out.
+            assert await half_close(host, port, b'{"id": 1, "op": "ping"}\n') == [
+                {"id": 1, "ok": True, "pong": True}
+            ]
+            return await half_close(host, port, ("\n".join(lines) + "\n").encode())
+
+        replies = _with_daemon(model, scenario)
+        ids = [reply["id"] for reply in replies]
+        assert sorted(ids, key=str) == sorted([*range(64), None, "p", "s"], key=str)
+        by_id = {reply["id"]: reply for reply in replies}
+        for i, expected in enumerate(offline):
+            assert by_id[i]["ok"] is True
+            assert np.asarray(by_id[i]["outputs"]).tobytes() == expected.tobytes()
+        assert by_id[None]["error"] == "bad_request"
+        assert by_id["p"]["pong"] is True
+        assert by_id["s"]["stats"]["models"][model.name]["received"] == 64
+
+    def test_replies_queued_before_eof_are_written_before_close(self, model):
+        from repro.serve.protocol import _handle_connection
+
+        class RecordingWriter:
+            """Keeps what is written while open; a closed socket drops writes."""
+
+            def __init__(self):
+                self.written, self.closed = b"", False
+
+            def write(self, data):
+                if not self.closed:
+                    self.written += data
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                pass
+
+        async def scenario(client, server):
+            # Lines and EOF are both buffered before the handler first runs,
+            # so it reaches EOF without yielding to the loop in between.
+            reader = asyncio.StreamReader()
+            reader.feed_data(b'{"id": 1, "op": "ping"}\nnot json\n')
+            reader.feed_eof()
+            writer = RecordingWriter()
+            await _handle_connection(server, reader, writer)
+            return [json.loads(line) for line in writer.written.splitlines()]
+
+        replies = _with_daemon(model, scenario)
+        assert [reply["id"] for reply in replies] == [1, None]
+
+    def test_line_over_the_limit_closes_after_earlier_replies(self, model, monkeypatch):
+        import repro.serve.protocol as protocol
+
+        # StreamReader.readline raises ValueError for an over-limit line.
+        monkeypatch.setattr(protocol, "_LINE_LIMIT", 4096)
+
+        async def scenario(client, server):
+            host, port = client._writer.get_extra_info("peername")[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"id": 1, "op": "ping"}\n{"id": 2, "pad": "' + b"x" * 8192 + b'"}\n')
+            await writer.drain()
+            replies = [json.loads(line) for line in (await reader.read()).splitlines()]
+            writer.close()
+            await writer.wait_closed()
+            assert await client.ping()  # other connections are unaffected
+            return replies
+
+        assert _with_daemon(model, scenario) == [{"id": 1, "ok": True, "pong": True}]
+
+    @pytest.mark.parametrize("raw_id", ["true", "false", "NaN", "Infinity", "-Infinity"])
+    def test_bool_and_non_finite_ids_are_bad_requests(self, model, raw_id):
+        async def scenario(client, server):
+            host, port = client._writer.get_extra_info("peername")[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(f'{{"id": {raw_id}, "op": "ping"}}\n'.encode())
+                await writer.drain()
+                # Strict parsing: the reply must be valid JSON (no bare NaN).
+                payload = json.loads(
+                    await reader.readline(), parse_constant=lambda name: pytest.fail(name)
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return payload
+
+        payload = _with_daemon(model, scenario)
+        assert payload == {
+            "id": None, "ok": False, "error": "bad_request",
+            "message": "'id' must be a JSON string, number or null",
+        }
 
 
 def _with_stub_server(respond, scenario, **client_kwargs):
@@ -365,10 +501,25 @@ class TestClientTimeoutAndRetry:
         # (and no real socket) is needed.
         with pytest.raises(ServeError, match="timeout_s"):
             AsyncServeClient(None, None, timeout_s=0.0)
+        for timeout_s in (-1.0, float("nan"), float("inf"), True, "5"):
+            with pytest.raises(ServeError, match="timeout_s"):
+                AsyncServeClient(None, None, timeout_s=timeout_s)
         with pytest.raises(ServeError, match="retries"):
             AsyncServeClient(None, None, retries=-1)
         with pytest.raises(ServeError, match="backoff_s"):
             AsyncServeClient(None, None, backoff_s=-0.1)
+
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf"), True])
+    def test_invalid_per_call_timeout_rejected_before_sending(self, timeout_s):
+        async def scenario(client):
+            with pytest.raises(ServeError, match="timeout_s"):
+                await client.infer("m", np.zeros(4), timeout_s=timeout_s)
+            with pytest.raises(ServeError, match="timeout_s"):
+                await client.health(timeout_s=timeout_s)
+            assert not client._pending
+
+        assert _with_stub_server(lambda message, count: b"", scenario) == []
 
 
 class TestHealthDeadlineAndChaosVerbs:
@@ -480,6 +631,23 @@ class TestHealthDeadlineAndChaosVerbs:
             assert applied == {"latency_s": 0.02, "duration_s": 0.5}
 
         _with_daemon(model, scenario, chaos=True)
+
+    @pytest.mark.parametrize(
+        "latency_s, duration_s",
+        [(float("inf"), 1.0), (0.01, float("inf")), (float("nan"), 1.0), (True, 1.0), (0.01, "1")],
+    )
+    def test_chaos_verb_rejects_non_finite_values(self, model, latency_s, duration_s):
+        inputs = synthetic_model_inputs(model, batch=1, seed=5)
+
+        async def scenario(client, server):
+            # json.dumps writes inf and NaN as Infinity and NaN; json.loads reads them.
+            with pytest.raises(ServeError, match="finite"):
+                await client.chaos(latency_s, duration_s)
+            # No stall was applied: the next request is answered promptly.
+            return await client.infer(model.name, inputs[0], timeout_s=10.0)
+
+        response = _with_daemon(model, scenario, chaos=True)
+        assert response.batch_size == 1
 
 
 class TestErrorPayloadDecoding:

@@ -351,3 +351,27 @@ class TestDeadlinesHealthAndChaos:
                     server.inject_chaos(-0.1, 1.0)
 
         asyncio.run(drive())
+
+    @pytest.mark.parametrize(
+        "latency_s, duration_s",
+        [
+            (float("inf"), 1.0),  # would stall every dispatch and the drain forever
+            (0.01, float("inf")),  # would never expire
+            (float("nan"), 1.0),
+            (0.01, float("nan")),
+            (True, 1.0),
+            (0.01, False),
+            ("0.01", 1.0),
+            (None, 1.0),
+        ],
+    )
+    def test_chaos_rejects_non_finite_and_non_real_values(self, model, latency_s, duration_s):
+        async def drive():
+            async with Server([model], config=CONFIG, chaos=True) as server:
+                with pytest.raises(ServeError, match="finite"):
+                    server.inject_chaos(latency_s, duration_s)
+                # Nothing was applied: a request is served without a stall.
+                return await asyncio.wait_for(server.submit(model.name, np.ones(model.input_size)), 10.0)
+
+        response = asyncio.run(drive())
+        assert response.batch_size == 1
