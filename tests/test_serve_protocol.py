@@ -203,10 +203,19 @@ class TestProtocolRobustness:
                     (b'"just a string"\n', "JSON object, got str"),
                     (b'{"id": [7], "op": "ping"}\n', "'id' must be"),
                     (b'{"id": {"k": 1}, "op": "ping"}\n', "'id' must be"),
+                    # bool is an int to Python, and json.loads reads these.
+                    (b'{"id": true, "op": "ping"}\n', "'id' must be"),
+                    (b'{"id": false, "op": "ping"}\n', "'id' must be"),
+                    (b'{"id": NaN, "op": "ping"}\n', "'id' must be"),
+                    (b'{"id": Infinity, "op": "ping"}\n', "'id' must be"),
+                    (b'{"id": -Infinity, "op": "ping"}\n', "'id' must be"),
                 ):
                     writer.write(line)
                     await writer.drain()
-                    payload = json.loads(await reader.readline())
+                    # Strict parsing: a reply must be valid JSON (no bare NaN).
+                    payload = json.loads(
+                        await reader.readline(), parse_constant=lambda name: pytest.fail(name)
+                    )
                     assert payload["ok"] is False
                     assert payload["error"] == "bad_request"
                     assert payload["id"] is None
@@ -325,29 +334,6 @@ class TestProtocolRobustness:
             return replies
 
         assert _with_daemon(model, scenario) == [{"id": 1, "ok": True, "pong": True}]
-
-    @pytest.mark.parametrize("raw_id", ["true", "false", "NaN", "Infinity", "-Infinity"])
-    def test_bool_and_non_finite_ids_are_bad_requests(self, model, raw_id):
-        async def scenario(client, server):
-            host, port = client._writer.get_extra_info("peername")[:2]
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                writer.write(f'{{"id": {raw_id}, "op": "ping"}}\n'.encode())
-                await writer.drain()
-                # Strict parsing: the reply must be valid JSON (no bare NaN).
-                payload = json.loads(
-                    await reader.readline(), parse_constant=lambda name: pytest.fail(name)
-                )
-            finally:
-                writer.close()
-                await writer.wait_closed()
-            return payload
-
-        payload = _with_daemon(model, scenario)
-        assert payload == {
-            "id": None, "ok": False, "error": "bad_request",
-            "message": "'id' must be a JSON string, number or null",
-        }
 
 
 def _with_stub_server(respond, scenario, **client_kwargs):
