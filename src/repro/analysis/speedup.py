@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.baselines.roofline import RooflinePlatform
 from repro.baselines.specs import CPU_CORE_I7_5930K, GPU_TITAN_X, MOBILE_GPU_TEGRA_K1
 from repro.core.config import EIEConfig
-from repro.engine import EngineRegistry
 from repro.workloads.benchmarks import LayerSpec, resolve_spec
 from repro.workloads.generator import WorkloadBuilder
 
@@ -43,17 +42,15 @@ def layer_times(
 ) -> dict[str, float]:
     """Per-frame time in seconds of every Figure 6 configuration for one layer.
 
-    The EIE bar comes from the registry's ``"cycle"`` engine; the other six
-    bars are analytic roofline baselines.
+    The EIE bar is :meth:`LayerWorkload.simulate` (the registry's ``"cycle"``
+    engine); the other six bars are analytic roofline baselines.
     """
     eie_config = eie_config or EIEConfig()
     spec = resolve_spec(benchmark)
     cpu = RooflinePlatform(CPU_CORE_I7_5930K)
     gpu = RooflinePlatform(GPU_TITAN_X)
     mgpu = RooflinePlatform(MOBILE_GPU_TEGRA_K1)
-    workload = builder.build(spec, eie_config.num_pes)
-    engine = EngineRegistry.create("cycle", eie_config)
-    eie_stats = engine.run(engine.prepare(workload)).stats
+    eie_stats = builder.build(spec, eie_config.num_pes).simulate(eie_config)
     return {
         "CPU Dense": cpu.dense_time_s(spec, batch),
         "CPU Compressed": cpu.sparse_time_s(spec, batch),

@@ -40,22 +40,10 @@ __all__ = [
     "CSCMatrix",
     "InterleavedCSC",
     "interleaved_entry_counts",
-    "pe_for_row",
-    "local_row_index",
 ]
 
 #: Largest zero-run representable in a 4-bit relative index.
 DEFAULT_MAX_RUN = 15
-
-
-def pe_for_row(row: int | np.ndarray, num_pes: int) -> int | np.ndarray:
-    """The PE that owns ``row`` under the paper's interleaving (``row mod N``)."""
-    return row % num_pes
-
-
-def local_row_index(row: int | np.ndarray, num_pes: int) -> int | np.ndarray:
-    """Position of ``row`` within its owning PE's local row space."""
-    return row // num_pes
 
 
 def _expand_streams(

@@ -13,11 +13,16 @@ simulator measures, at activation-broadcast granularity:
   has *finished* processing it, so with FIFO depth ``D`` the CCU may run at
   most ``D`` columns ahead of the slowest PE.
 
-These rules give the recurrences implemented in
-:func:`simulate_layer_cycles`, which is exact for the stated abstraction and
-runs in ``O(broadcasts x PEs)`` — fast enough to simulate the full-size
-Table III layers for every design-space sweep in the paper (Figures 8 and
-11-13) without scaling anything down.
+These rules give the recurrences implemented in one private simulation
+body, which is exact for the stated abstraction and runs in
+``O(broadcasts x PEs)`` — fast enough to simulate the full-size Table III
+layers for every design-space sweep in the paper (Figures 8 and 11-13)
+without scaling anything down.  Two public entry points share that body:
+:func:`simulate_layer_cycles` times one broadcast schedule and
+:func:`simulate_layer_cycles_batch` times many at once.  Their caller is the
+``"cycle"`` engine of :mod:`repro.engine`; analysis code times a Table III
+layer through :meth:`repro.workloads.generator.LayerWorkload.simulate`,
+which runs that engine.
 """
 
 from __future__ import annotations
@@ -258,125 +263,20 @@ def _blocked_recurrence_totals(
     return totals
 
 
-def simulate_layer_cycles(
-    work: np.ndarray,
+def _simulate(
+    works: "Sequence[np.ndarray]",
     fifo_depth: int,
-    padding_work: np.ndarray | None = None,
-    clock_mhz: float = 800.0,
-    assume_valid: bool = False,
-) -> CycleStats:
-    """Simulate the broadcast/FIFO timing for one layer.
-
-    The single-input path is the batched recurrence
-    (:func:`_blocked_recurrence_totals`) run on a batch of one — one
-    implementation, no drift between the two entry points.
-
-    Args:
-        work: integer array of shape ``(num_pes, num_broadcasts)``;
-            ``work[p, b]`` is the number of encoded entries PE ``p`` must
-            retire for the ``b``-th broadcast non-zero activation.
-        fifo_depth: activation queue depth ``D``.
-        padding_work: optional array of the same shape counting how many of
-            those entries are padding zeros (used for Figure 12 statistics).
-        clock_mhz: clock frequency for time conversion.
-        assume_valid: skip the dtype conversion and the non-negativity /
-            dimensionality checks.  Set by the engine adapter, whose prepared
-            layers already hold validated int64 work matrices — the checks
-            would otherwise re-scan every entry on every run call.
-
-    Returns:
-        A :class:`CycleStats` with total cycles, per-PE busy cycles and the
-        derived efficiency metrics.
-    """
-    if not assume_valid:
-        work = np.asarray(work, dtype=np.int64)
-        if work.ndim != 2:
-            raise SimulationError(
-                f"work must be 2-D (num_pes, broadcasts), got shape {work.shape}"
-            )
-        if np.any(work < 0):
-            raise SimulationError("work counts must be non-negative")
-    if fifo_depth < 1:
-        raise SimulationError(f"fifo_depth must be >= 1, got {fifo_depth}")
-    if clock_mhz <= 0.0:
-        raise SimulationError(f"clock_mhz must be > 0, got {clock_mhz}")
-    num_pes, num_broadcasts = work.shape
-    if num_pes == 0:
-        raise SimulationError("work must cover at least one PE (got an empty PE axis)")
-    if padding_work is not None:
-        if not assume_valid:
-            padding_work = np.asarray(padding_work, dtype=np.int64)
-        if padding_work.shape != work.shape:
-            raise SimulationError("padding_work must have the same shape as work")
-        padding_total = int(padding_work.sum())
-    else:
-        padding_total = 0
-
-    busy = work.sum(axis=1)
-    busy.setflags(write=False)
-    entries_total = int(busy.sum())
-    theoretical = entries_total / num_pes
-
-    if num_broadcasts == 0:
-        return CycleStats(
-            total_cycles=0,
-            busy_cycles=busy,
-            broadcasts=0,
-            entries_processed=0,
-            padding_entries=0,
-            theoretical_cycles=0.0,
-            num_pes=num_pes,
-            fifo_depth=fifo_depth,
-            clock_mhz=clock_mhz,
-        )
-
-    totals = _blocked_recurrence_totals(
-        np.ascontiguousarray(work.T)[:, np.newaxis, :],
-        np.asarray([num_broadcasts], dtype=np.int64),
-        fifo_depth,
-    )
-    total_cycles = int(totals[0])
-
-    return CycleStats(
-        total_cycles=total_cycles,
-        busy_cycles=busy,
-        broadcasts=num_broadcasts,
-        entries_processed=entries_total,
-        padding_entries=padding_total,
-        theoretical_cycles=theoretical,
-        num_pes=num_pes,
-        fifo_depth=fifo_depth,
-        clock_mhz=clock_mhz,
-    )
-
-
-def simulate_layer_cycles_batch(
-    works: "list[np.ndarray]",
-    fifo_depth: int,
-    padding_totals: "Sequence[int] | None" = None,
-    clock_mhz: float = 800.0,
-    assume_valid: bool = False,
+    padding_totals: "Sequence[int] | None",
+    clock_mhz: float,
+    assume_valid: bool,
 ) -> "list[CycleStats]":
-    """Run the broadcast/FIFO recurrence for many inputs at once.
+    """The one simulation body behind both public entry points.
 
-    Semantically identical to calling :func:`simulate_layer_cycles` on each
-    ``works[i]`` (the engine parity tests pin this element-wise): both paths
-    share :func:`_blocked_recurrence_totals`.  The items are packed into one
-    ``(max_broadcasts, batch, lanes)`` tensor, one lane per PE with work in
-    some item, and the recurrence advances every batch item one
-    FIFO-depth-sized block of broadcasts at a time.  ``busy_cycles``,
-    ``num_pes`` and ``theoretical_cycles`` still count every PE.
-
-    Args:
-        works: per-item work matrices, all with the same ``num_pes`` rows.
-        fifo_depth: activation queue depth ``D``.
-        padding_totals: optional per-item counts of padding-zero entries
-            among the touched columns (a total, not a matrix: the batched
-            path only reports the aggregate, and callers can derive it from
-            per-column padding sums without gathering full matrices).
-        clock_mhz: clock frequency for time conversion.
-        assume_valid: skip per-item dtype conversion and validity checks
-            (engine-adapter fast path for already-prepared int64 matrices).
+    Validates the work matrices, packs them into one ``(max_broadcasts,
+    batch, lanes)`` tensor (one lane per PE with work in some item), runs
+    :func:`_blocked_recurrence_totals` and assembles one :class:`CycleStats`
+    per item.  ``busy_cycles``, ``num_pes`` and ``theoretical_cycles``
+    still count every PE.
     """
     if fifo_depth < 1:
         raise SimulationError(f"fifo_depth must be >= 1, got {fifo_depth}")
@@ -419,9 +319,14 @@ def simulate_layer_cycles_batch(
         # still yields t_b.
         keep = np.flatnonzero(active) if active.any() else [0]
         arrays = [work[keep] for work in arrays]
-    packed = np.zeros((max_broadcasts, batch, arrays[0].shape[0]), dtype=np.int64)
-    for index, work in enumerate(arrays):
-        packed[: work.shape[1], index, :] = work.T
+    if batch == 1:
+        # Nothing to pad: a work matrix whose transpose is already
+        # contiguous (a LayerWorkload's column slice) is packed without a copy.
+        packed = np.ascontiguousarray(arrays[0].T, dtype=np.int64)[:, np.newaxis, :]
+    else:
+        packed = np.zeros((max_broadcasts, batch, arrays[0].shape[0]), dtype=np.int64)
+        for index, work in enumerate(arrays):
+            packed[: work.shape[1], index, :] = work.T
     totals = _blocked_recurrence_totals(packed, lengths, fifo_depth)
 
     results: list[CycleStats] = []
@@ -442,3 +347,71 @@ def simulate_layer_cycles_batch(
             )
         )
     return results
+
+
+def simulate_layer_cycles(
+    work: np.ndarray,
+    fifo_depth: int,
+    padding_work: np.ndarray | None = None,
+    clock_mhz: float = 800.0,
+    assume_valid: bool = False,
+) -> CycleStats:
+    """Simulate the broadcast/FIFO timing for one layer.
+
+    Runs the batched simulation body on a batch of one, so the two entry
+    points cannot drift apart.
+
+    Args:
+        work: integer array of shape ``(num_pes, num_broadcasts)``;
+            ``work[p, b]`` is the number of encoded entries PE ``p`` must
+            retire for the ``b``-th broadcast non-zero activation.
+        fifo_depth: activation queue depth ``D``.
+        padding_work: optional array of the same shape counting how many of
+            those entries are padding zeros (used for Figure 12 statistics).
+        clock_mhz: clock frequency for time conversion.
+        assume_valid: skip the dtype conversion and the non-negativity /
+            dimensionality checks.  Set by the engine adapter, whose prepared
+            layers already hold validated int64 work matrices — the checks
+            would otherwise re-scan every entry on every run call.
+
+    Returns:
+        A :class:`CycleStats` with total cycles, per-PE busy cycles and the
+        derived efficiency metrics.
+    """
+    padding_totals = None
+    if padding_work is not None:
+        padding_work = np.asarray(padding_work, dtype=np.int64)
+        if padding_work.shape != np.shape(work):
+            raise SimulationError("padding_work must have the same shape as work")
+        padding_totals = [int(padding_work.sum())]
+    return _simulate([work], fifo_depth, padding_totals, clock_mhz, assume_valid)[0]
+
+
+def simulate_layer_cycles_batch(
+    works: "list[np.ndarray]",
+    fifo_depth: int,
+    padding_totals: "Sequence[int] | None" = None,
+    clock_mhz: float = 800.0,
+    assume_valid: bool = False,
+) -> "list[CycleStats]":
+    """Run the broadcast/FIFO recurrence for many inputs at once.
+
+    Semantically identical to calling :func:`simulate_layer_cycles` on each
+    ``works[i]`` (the engine parity tests pin this element-wise): both run
+    the same simulation body.  The items are packed into one
+    ``(max_broadcasts, batch, lanes)`` tensor, one lane per PE with work in
+    some item, and the recurrence advances every batch item one
+    FIFO-depth-sized block of broadcasts at a time.
+
+    Args:
+        works: per-item work matrices, all with the same ``num_pes`` rows.
+        fifo_depth: activation queue depth ``D``.
+        padding_totals: optional per-item counts of padding-zero entries
+            among the touched columns (a total, not a matrix: the batched
+            path only reports the aggregate, and callers can derive it from
+            per-column padding sums without gathering full matrices).
+        clock_mhz: clock frequency for time conversion.
+        assume_valid: skip per-item dtype conversion and validity checks
+            (engine-adapter fast path for already-prepared int64 matrices).
+    """
+    return _simulate(works, fifo_depth, padding_totals, clock_mhz, assume_valid)

@@ -17,8 +17,7 @@ Smoke runs: ``--set "grid.model=[neuraltalk_lstm]"`` and
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.compression.pipeline import CompressionConfig
-from repro.engine.session import Session
+from repro.experiments.models_catalog import _build_model, _model_session
 from repro.experiments.registry import Experiment, register_experiment
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import ExperimentContext
@@ -26,9 +25,6 @@ from repro.experiments.spec import ExperimentSpec
 from repro.hardware.sram import ecc_read_energy_factor, ecc_storage_factor
 from repro.models.compressed import CompressedModel
 from repro.models.inputs import synthetic_model_inputs
-from repro.models.ir import ModelIR
-from repro.models.registry import ModelRegistry
-from repro.models.spec import ModelSpec
 from repro.reliability.faults import FaultConfig
 from repro.reliability.harness import run_degradation
 from repro.utils.rng import derive_seed
@@ -40,34 +36,6 @@ __all__ = ["RELIABILITY_EXPERIMENTS"]
 DEFAULT_RELIABILITY_MODELS = ("alexnet_fc", "neuraltalk_lstm")
 DEFAULT_BER_GRID = (0.0, 1e-5, 1e-4, 1e-3)
 DEFAULT_SCHEME_GRID = ("none", "parity", "secded")
-
-
-def _build_model(ctx: ExperimentContext, name: str) -> ModelIR:
-    """Build (and memoize) one registered model under the spec's params."""
-    scale = ctx.params.get("scale")
-    seed = ctx.params.get("seed")
-
-    def build() -> ModelIR:
-        spec = ModelSpec(
-            model=name,
-            scale=None if scale is None else float(scale),
-            seed=None if seed is None else int(seed),
-        )
-        return ModelRegistry.build(spec)
-
-    return ctx.memo(("model", name, scale, seed), build)
-
-
-def _model_session(ctx: ExperimentContext) -> Session:
-    """The session whose compressor honours the spec's compression overlay."""
-    if ctx.compression == CompressionConfig():
-        return ctx.session
-    return ctx.memo(
-        ("model-session", ctx.compression),
-        lambda: Session(
-            ctx.compression, config=ctx.base_config, store=ctx.session.store
-        ),
-    )
 
 
 def _compressed_model(ctx: ExperimentContext, name: str) -> CompressedModel:

@@ -263,18 +263,10 @@ class ExperimentRunner:
         else:
             experiment = self.registry.get(spec_or_name)
             spec = experiment.spec
-        changes: dict[str, Any] = {}
-        for name in ("config", "compression", "grid", "params"):
-            value = overrides.get(name)
-            if value:
-                if name == "config" and isinstance(value, EIEConfig):
-                    value = value.to_dict()
-                changes[name] = {**getattr(spec, name), **dict(value)}
-        for name in ("engine", "seed", "scale", "repeats"):
-            if overrides.get(name) is not None:
-                changes[name] = overrides[name]
-        if changes:
-            spec = ExperimentSpec.from_dict({**spec.to_dict(), **changes})
+        partial = {name: value for name, value in overrides.items() if value is not None}
+        if isinstance(partial.get("config"), EIEConfig):
+            partial["config"] = partial["config"].to_dict()
+        spec = spec.merged(ExperimentSpec(experiment=experiment.name, **partial))
         unknown_axes = set(spec.grid) - set(experiment.spec.grid)
         if unknown_axes:
             known = ", ".join(sorted(experiment.spec.grid)) or "<none>"

@@ -15,7 +15,6 @@ from repro.hardware.energy import (
     multiply_energy_pj,
 )
 from repro.hardware.sram import (
-    SramBank,
     SramConfig,
     ecc_read_energy_factor,
     ecc_storage_factor,
@@ -30,7 +29,6 @@ __all__ = [
     "LNZD_UNIT",
     "OperationEnergy",
     "PEAreaModel",
-    "SramBank",
     "SramConfig",
     "TechnologyNode",
     "chip_area_mm2",

@@ -20,7 +20,6 @@ from repro.utils.validation import require_positive, require_power_of_two
 __all__ = [
     "sram_read_energy_pj",
     "SramConfig",
-    "SramBank",
     "SPMAT_SRAM_KB",
     "PTR_SRAM_KB",
     "ACT_SRAM_KB",
@@ -155,50 +154,3 @@ class SramConfig:
             raise ConfigurationError(f"num_entries must be >= 0, got {num_entries}")
         entries_per_row = self.width_bits // entry_bits
         return math.ceil(num_entries / entries_per_row) if num_entries else 0
-
-
-class SramBank:
-    """A counting SRAM bank: tracks reads/writes and accumulates energy.
-
-    The simulators use one bank per physical SRAM in the PE (Spmat, two Ptr
-    banks, Act) and read the accumulated statistics when building the energy
-    reports.
-    """
-
-    def __init__(self, config: SramConfig) -> None:
-        self.config = config
-        self.reads = 0
-        self.writes = 0
-
-    def read(self, count: int = 1) -> None:
-        """Record ``count`` read accesses."""
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        self.reads += int(count)
-
-    def write(self, count: int = 1) -> None:
-        """Record ``count`` write accesses."""
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        self.writes += int(count)
-
-    def reset(self) -> None:
-        """Clear the access counters."""
-        self.reads = 0
-        self.writes = 0
-
-    @property
-    def access_count(self) -> int:
-        """Total reads plus writes."""
-        return self.reads + self.writes
-
-    @property
-    def energy_pj(self) -> float:
-        """Energy of all recorded accesses (writes cost the same as reads)."""
-        return self.access_count * self.config.read_energy_pj
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SramBank(name={self.config.name!r}, reads={self.reads}, "
-            f"writes={self.writes})"
-        )

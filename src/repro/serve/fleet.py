@@ -59,6 +59,7 @@ from repro.errors import (
 )
 from repro.serve.protocol import AsyncServeClient
 from repro.serve.server import ServeResponse
+from repro.utils.validation import is_finite_real
 
 __all__ = [
     "CircuitBreaker",
@@ -773,9 +774,10 @@ class FleetClient:
         route_window: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if timeout_s is not None and timeout_s <= 0:
+        # A NaN budget never runs out; a bool is not a number of seconds.
+        if timeout_s is not None and not (is_finite_real(timeout_s) and timeout_s > 0):
             raise ConfigurationError(
-                f"timeout_s must be positive or None, got {timeout_s}"
+                f"timeout_s must be a finite positive number or None, got {timeout_s!r}"
             )
         if route_window < 1:
             raise ConfigurationError(

@@ -141,6 +141,87 @@ def _arrival_offsets(count: int, rate_rps: float, seed: int) -> np.ndarray:
     return np.cumsum(gaps)
 
 
+def _request_matrix(inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as a non-empty ``(requests, n_in)`` float64 matrix."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] == 0:
+        raise ConfigurationError(
+            f"load generator needs a non-empty (requests, n_in) matrix, "
+            f"got shape {inputs.shape}"
+        )
+    return inputs
+
+
+class _Tally:
+    """Per-response accounting shared by the open and the closed loop."""
+
+    def __init__(
+        self,
+        submit: Callable[[np.ndarray], Awaitable[Any]],
+        inputs: np.ndarray,
+        capture_outputs: bool,
+    ) -> None:
+        self.submit = submit
+        self.inputs = inputs
+        self.capture_outputs = capture_outputs
+        count = inputs.shape[0]
+        self.latencies: list[float] = [float("nan")] * count
+        self.batch_sizes: list[int] = []
+        self.sim_latency: list[float] = []
+        self.sim_cycles: list[int] = []
+        self.outputs: list[np.ndarray | None] = [None] * count
+        self.responses: list[Any] = []
+        self.counters = {"completed": 0, "rejected": 0, "retriable": 0, "errors": 0}
+        self.start = time.perf_counter()
+
+    async def request(self, index: int, timed_from: float) -> None:
+        """Submit row ``index`` and tally the outcome; latency runs from ``timed_from``."""
+        try:
+            response = await self.submit(self.inputs[index])
+        except ServerOverloadedError:
+            self.counters["rejected"] += 1
+            return
+        except RETRIABLE_SERVE_ERRORS:
+            self.counters["retriable"] += 1
+            return
+        except Exception:
+            self.counters["errors"] += 1
+            return
+        self.latencies[index] = (time.perf_counter() - timed_from) * 1e3
+        self.counters["completed"] += 1
+        self.batch_sizes.append(int(response.batch_size))
+        if response.latency_s is not None:
+            self.sim_latency.append(float(response.latency_s))
+            self.sim_cycles.append(int(response.total_cycles))
+        if self.capture_outputs:
+            self.outputs[index] = np.asarray(response.output)
+        self.responses.append(response)
+
+    def report(
+        self, offered_rps: float, mode: str, concurrency: int | None = None
+    ) -> LoadReport:
+        """The :class:`LoadReport` of everything tallied since construction."""
+        duration = time.perf_counter() - self.start
+        measured = np.asarray([value for value in self.latencies if value == value])
+        return LoadReport(
+            offered_rps=offered_rps,
+            requests=len(self.latencies),
+            completed=self.counters["completed"],
+            rejected=self.counters["rejected"],
+            errors=self.counters["errors"],
+            duration_s=duration,
+            latencies_ms=measured,
+            batch_sizes=np.asarray(self.batch_sizes, dtype=np.int64),
+            sim_latency_us=float(np.mean(self.sim_latency)) * 1e6 if self.sim_latency else None,
+            sim_cycles=float(np.mean(self.sim_cycles)) if self.sim_cycles else None,
+            outputs=list(self.outputs) if self.capture_outputs else None,
+            responses=self.responses,
+            mode=mode,
+            concurrency=concurrency,
+            retriable=self.counters["retriable"],
+        )
+
+
 async def run_open_loop(
     submit: Callable[[np.ndarray], Awaitable[Any]],
     inputs: np.ndarray,
@@ -162,73 +243,21 @@ async def run_open_loop(
     output vector (indexed like ``inputs``) for bit-for-bit verification
     against the offline path.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ConfigurationError(
-            f"load generator needs a non-empty (requests, n_in) matrix, "
-            f"got shape {inputs.shape}"
-        )
+    inputs = _request_matrix(inputs)
     if rate_rps <= 0:
         raise ConfigurationError(f"offered rate must be > 0 rps, got {rate_rps}")
     count = inputs.shape[0]
     arrivals = _arrival_offsets(count, rate_rps, seed)
-
-    latencies: list[float] = [float("nan")] * count
-    batch_sizes: list[int] = []
-    sim_latency: list[float] = []
-    sim_cycles: list[int] = []
-    outputs: list[np.ndarray | None] = [None] * count
-    responses: list[Any] = []
-    counters = {"completed": 0, "rejected": 0, "retriable": 0, "errors": 0}
-
-    start = time.perf_counter()
+    tally = _Tally(submit, inputs, capture_outputs)
 
     async def one_request(index: int) -> None:
-        delay = arrivals[index] - (time.perf_counter() - start)
+        delay = arrivals[index] - (time.perf_counter() - tally.start)
         if delay > 0:
             await asyncio.sleep(delay)
-        scheduled = start + arrivals[index]
-        try:
-            response = await submit(inputs[index])
-        except ServerOverloadedError:
-            counters["rejected"] += 1
-            return
-        except RETRIABLE_SERVE_ERRORS:
-            counters["retriable"] += 1
-            return
-        except Exception:
-            counters["errors"] += 1
-            return
-        latencies[index] = (time.perf_counter() - scheduled) * 1e3
-        counters["completed"] += 1
-        batch_sizes.append(int(response.batch_size))
-        if response.latency_s is not None:
-            sim_latency.append(float(response.latency_s))
-            sim_cycles.append(int(response.total_cycles))
-        if capture_outputs:
-            outputs[index] = np.asarray(response.output)
-        responses.append(response)
+        await tally.request(index, tally.start + arrivals[index])
 
     await asyncio.gather(*(one_request(index) for index in range(count)))
-    duration = time.perf_counter() - start
-
-    measured = np.asarray([value for value in latencies if value == value])
-    return LoadReport(
-        offered_rps=float(rate_rps),
-        requests=count,
-        completed=counters["completed"],
-        rejected=counters["rejected"],
-        errors=counters["errors"],
-        duration_s=duration,
-        latencies_ms=measured,
-        batch_sizes=np.asarray(batch_sizes, dtype=np.int64),
-        sim_latency_us=float(np.mean(sim_latency)) * 1e6 if sim_latency else None,
-        sim_cycles=float(np.mean(sim_cycles)) if sim_cycles else None,
-        outputs=[value for value in outputs] if capture_outputs else None,
-        responses=responses,
-        mode="open",
-        retriable=counters["retriable"],
-    )
+    return tally.report(float(rate_rps), "open")
 
 
 async def run_closed_loop(
@@ -252,72 +281,20 @@ async def run_closed_loop(
     closed loop never queues behind its own arrivals, so unlike the open
     loop there is no scheduled-arrival backlog to include.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ConfigurationError(
-            f"load generator needs a non-empty (requests, n_in) matrix, "
-            f"got shape {inputs.shape}"
-        )
+    inputs = _request_matrix(inputs)
     if concurrency < 1:
         raise ConfigurationError(
             f"closed-loop concurrency must be >= 1, got {concurrency}"
         )
     count = inputs.shape[0]
     concurrency = min(int(concurrency), count)
-
-    latencies: list[float] = [float("nan")] * count
-    batch_sizes: list[int] = []
-    sim_latency: list[float] = []
-    sim_cycles: list[int] = []
-    outputs: list[np.ndarray | None] = [None] * count
-    responses: list[Any] = []
-    counters = {"completed": 0, "rejected": 0, "retriable": 0, "errors": 0}
+    tally = _Tally(submit, inputs, capture_outputs)
     next_index = iter(range(count))
-
-    start = time.perf_counter()
 
     async def worker() -> None:
         for index in next_index:  # the shared iterator hands out each row once
-            issued = time.perf_counter()
-            try:
-                response = await submit(inputs[index])
-            except ServerOverloadedError:
-                counters["rejected"] += 1
-                continue
-            except RETRIABLE_SERVE_ERRORS:
-                counters["retriable"] += 1
-                continue
-            except Exception:
-                counters["errors"] += 1
-                continue
-            latencies[index] = (time.perf_counter() - issued) * 1e3
-            counters["completed"] += 1
-            batch_sizes.append(int(response.batch_size))
-            if response.latency_s is not None:
-                sim_latency.append(float(response.latency_s))
-                sim_cycles.append(int(response.total_cycles))
-            if capture_outputs:
-                outputs[index] = np.asarray(response.output)
-            responses.append(response)
+            await tally.request(index, time.perf_counter())
 
     await asyncio.gather(*(worker() for _ in range(concurrency)))
-    duration = time.perf_counter() - start
-
-    measured = np.asarray([value for value in latencies if value == value])
-    return LoadReport(
-        offered_rps=0.0,  # no offered rate in a closed loop; see throughput_rps
-        requests=count,
-        completed=counters["completed"],
-        rejected=counters["rejected"],
-        errors=counters["errors"],
-        duration_s=duration,
-        latencies_ms=measured,
-        batch_sizes=np.asarray(batch_sizes, dtype=np.int64),
-        sim_latency_us=float(np.mean(sim_latency)) * 1e6 if sim_latency else None,
-        sim_cycles=float(np.mean(sim_cycles)) if sim_cycles else None,
-        outputs=[value for value in outputs] if capture_outputs else None,
-        responses=responses,
-        mode="closed",
-        concurrency=concurrency,
-        retriable=counters["retriable"],
-    )
+    # No offered rate in a closed loop; see throughput_rps.
+    return tally.report(0.0, "closed", concurrency)

@@ -221,6 +221,12 @@ async def _handle_connection(
         exc = future.exception()
         send(_error_payload(request_id, exc) if exc else _response_payload(request_id, future.result()))
 
+    def end_idle(_: asyncio.Future) -> None:
+        # A connection left open would block in readline until asyncio.run
+        # cancels it, which the stream protocol logs as a traceback.
+        reader.feed_eof()
+
+    server.drained.add_done_callback(end_idle)
     try:
         while True:
             try:
@@ -248,6 +254,7 @@ async def _handle_connection(
             await asyncio.wait(in_flight)
         flush()
     finally:
+        server.drained.remove_done_callback(end_idle)
         writer.close()
         try:
             await writer.wait_closed()

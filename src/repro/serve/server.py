@@ -206,6 +206,7 @@ class Server:
         self._closing = False
         self._closed = False
         self._started_at: float | None = None
+        self._drained: asyncio.Future[None] | None = None
         # Chaos hooks (latency injection) are off unless explicitly enabled:
         # a production daemon must not let a client slow it down.
         self.chaos_enabled = bool(chaos)
@@ -225,6 +226,7 @@ class Server:
         self._started = True
         self._started_at = time.monotonic()
         loop = asyncio.get_running_loop()
+        self._drained = loop.create_future()
         built = await asyncio.gather(
             *(
                 loop.run_in_executor(self._executor, self._build_ir, entry)
@@ -292,6 +294,8 @@ class Server:
             await asyncio.gather(*batchers)
         self._executor.shutdown(wait=True)
         self._closed = True
+        if self._drained is not None:
+            self._drained.set_result(None)
         return self.stats()
 
     async def __aenter__(self) -> "Server":
@@ -545,6 +549,14 @@ class Server:
         self._chaos_latency_s = float(latency_s)
         self._chaos_until = time.monotonic() + float(duration_s)
         return {"latency_s": self._chaos_latency_s, "duration_s": float(duration_s)}
+
+    @property
+    def drained(self) -> "asyncio.Future[None]":
+        """Resolves once :meth:`close` has answered every accepted request.
+
+        The future is created by :meth:`start`.
+        """
+        return self._drained
 
     @property
     def models(self) -> list[str]:

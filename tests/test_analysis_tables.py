@@ -1,4 +1,4 @@
-"""Tests for the Table I-V builders (Table IV/V on scaled layers where heavy).
+"""Tests for Tables I-IV (Table IV through its experiment on scaled layers).
 
 :class:`TestFullScaleTables` regenerates Tables I-III through the
 session-scoped ``paper_runner``; the full-size Tables IV and V are checked in
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import table1_rows, table2_rows, table3_rows, table4_rows
-from repro.core.config import EIEConfig
+from repro.analysis.tables import table1_rows, table2_rows, table3_rows
+from repro.experiments import run_experiment
 from repro.hardware.area import chip_area_mm2, chip_power_w, num_lnzd_units
 from repro.hardware.energy import ENERGY_TABLE_45NM
 from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark, scaled_benchmarks
@@ -59,7 +59,11 @@ class TestTable4:
     def rows(self):
         specs = scaled_benchmarks(64)
         subset = [specs["Alex-6"], specs["NT-Wd"]]
-        return table4_rows(subset, builder=WorkloadBuilder(), eie_config=EIEConfig(num_pes=16))
+        result = run_experiment(
+            "table4_wallclock", builder=WorkloadBuilder(), workloads=subset,
+            config={"num_pes": 16},
+        )
+        return result.records
 
     def test_row_structure(self, rows):
         # 3 platforms x 2 batches x 2 kernels + 2 EIE rows.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.sram import SramBank, SramConfig, sram_read_energy_pj
+from repro.hardware.sram import SramConfig, sram_read_energy_pj
 
 
 class TestReadEnergy:
@@ -59,27 +59,3 @@ class TestSramConfig:
             SramConfig(capacity_kb=0, width_bits=64)
         with pytest.raises(ConfigurationError):
             SramConfig(capacity_kb=8, width_bits=24)
-
-
-class TestSramBank:
-    def test_counts_and_energy(self):
-        bank = SramBank(SramConfig(capacity_kb=32, width_bits=32))
-        bank.read(10)
-        bank.write(5)
-        assert bank.reads == 10
-        assert bank.writes == 5
-        assert bank.access_count == 15
-        assert bank.energy_pj == pytest.approx(15 * 5.0)
-
-    def test_reset(self):
-        bank = SramBank(SramConfig(capacity_kb=32, width_bits=32))
-        bank.read(3)
-        bank.reset()
-        assert bank.access_count == 0
-
-    def test_negative_counts_rejected(self):
-        bank = SramBank(SramConfig(capacity_kb=32, width_bits=32))
-        with pytest.raises(ConfigurationError):
-            bank.read(-1)
-        with pytest.raises(ConfigurationError):
-            bank.write(-2)

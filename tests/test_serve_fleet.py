@@ -416,8 +416,9 @@ class TestFleetClientFailover:
     def test_client_validation(self):
         with pytest.raises(ConfigurationError, match="at least one endpoint"):
             FleetClient([])
-        with pytest.raises(ConfigurationError, match="timeout_s"):
-            FleetClient([("127.0.0.1", 1)], timeout_s=0.0)
+        for timeout_s in (0.0, float("nan"), float("inf"), True):
+            with pytest.raises(ConfigurationError, match="timeout_s"):
+                FleetClient([("127.0.0.1", 1)], timeout_s=timeout_s)
         with pytest.raises(ConfigurationError, match="route_window"):
             FleetClient([("127.0.0.1", 1)], route_window=0)
 

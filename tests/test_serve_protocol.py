@@ -9,6 +9,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -670,3 +677,38 @@ class TestErrorPayloadDecoding:
         )
         assert type(decoded) is ServeError
         assert "weird" in str(decoded)
+
+
+class TestDaemonProcess:
+    """The ``repro serve`` daemon as a real process."""
+
+    def test_sigterm_with_idle_client_drains_without_traceback(self, tmp_path):
+        """A connection that sent a request and then sat idle must not turn
+        the SIGTERM drain into an asyncio traceback in the daemon's log."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env["REPRO_STORE_DIR"] = str(tmp_path / "store")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--models", "neuraltalk_lstm",
+             "--scale", "32", "--pes", "8", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = daemon.stdout.readline()
+            address = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert address, banner
+            with socket.create_connection(
+                (address.group(1), int(address.group(2))), timeout=60
+            ) as sock:
+                sock.sendall(b'{"id": "p", "op": "ping"}\n')
+                assert json.loads(sock.makefile("rb").readline())["id"] == "p"
+                daemon.send_signal(signal.SIGTERM)
+                log = banner + daemon.communicate(timeout=60)[0]
+        finally:
+            daemon.kill()
+        assert daemon.returncode == 0, log
+        assert "drained" in log
+        assert "Traceback" not in log, log
