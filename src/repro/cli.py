@@ -1064,11 +1064,13 @@ def _run_serve_daemon(args: argparse.Namespace) -> str:
         await stop.wait()
         # Drain: stop accepting connections, serve everything already
         # queued, then report.  In-flight responses flush on their open
-        # connections before the process exits.
+        # connections before the process exits.  The drain comes before
+        # wait_closed: from Python 3.12.1 that waits for every connection,
+        # and an idle one ends only when Server.drained feeds it an EOF.
         print("repro-serve: draining...", flush=True)
         listener.close()
-        await listener.wait_closed()
         stats = await server.close(drain=True)
+        await listener.wait_closed()
         await asyncio.sleep(0.1)  # let connection tasks flush final responses
         totals = {
             key: sum(model[key] for model in stats["models"].values())

@@ -223,7 +223,9 @@ async def _handle_connection(
 
     def end_idle(_: asyncio.Future) -> None:
         # A connection left open would block in readline until asyncio.run
-        # cancels it, which the stream protocol logs as a traceback.
+        # cancels it, which the stream protocol logs as a traceback.  Reading
+        # pauses first: data arriving after the EOF would fail feed_data.
+        writer.transport.pause_reading()
         reader.feed_eof()
 
     server.drained.add_done_callback(end_idle)

@@ -390,15 +390,18 @@ class TestFleetClientFailover:
             port = listener.sockets[0].getsockname()[1]
             current = [("127.0.0.1", port)]
             client = FleetClient(lambda: current, timeout_s=5.0)
+            listeners = [listener]
             try:
                 await client.infer("m", VECTOR)
                 # "Restart" the worker: new listener, new port, update the
                 # endpoint source in place — as FleetSupervisor.endpoints does.
+                # The old listener is awaited only after client.close: from
+                # Python 3.12.1 wait_closed waits for every open connection.
                 listener.close()
-                await listener.wait_closed()
                 listener = await _stub_worker(
                     lambda message: _ok_infer(message["id"]), received
                 )
+                listeners.append(listener)
                 current[0] = (
                     "127.0.0.1", listener.sockets[0].getsockname()[1]
                 )
@@ -407,8 +410,9 @@ class TestFleetClientFailover:
                 return client.stats()
             finally:
                 await client.close()
-                listener.close()
-                await listener.wait_closed()
+                for listener in listeners:
+                    listener.close()
+                    await listener.wait_closed()
 
         stats = asyncio.run(drive())
         assert stats["completed"] == 2
