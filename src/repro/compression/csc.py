@@ -90,15 +90,6 @@ def _stable_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _shifted(values: np.ndarray) -> np.ndarray:
-    """``values`` shifted right by one slot (slot 0 is arbitrary/masked)."""
-    out = np.empty_like(values)
-    if out.shape[0]:
-        out[0] = 0
-        out[1:] = values[:-1]
-    return out
-
-
 def _column_gaps(group_ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Zeros preceding each stored non-zero within its group.
 
@@ -628,7 +619,10 @@ def interleaved_entry_counts(
     entries (true non-zeros plus padding zeros) each PE stores for each
     column.  It is what the cycle-level simulator uses for the full-size
     Table III layers, where building explicit per-PE CSC arrays in Python
-    would be needlessly slow.
+    would be needlessly slow.  Each non-zero becomes one packed
+    ``(PE, column, local row)`` integer key; one in-place sort of the keys
+    groups them by (PE, column), and the zero runs, padding zeros and group
+    sizes are read off the sorted keys.
 
     Args:
         row_indices: row index of every non-zero, grouped by column (CSC
@@ -643,13 +637,13 @@ def interleaved_entry_counts(
         ``(num_pes, num_cols)``.
 
     Raises:
-        EncodingError: for ``max_run < 1``, like the encoders.
+        EncodingError: for ``max_run < 1`` or ``num_pes < 1``, like the
+            encoders.
     """
     if max_run < 1:
         raise EncodingError(f"max_run must be >= 1, got {max_run}")
-    # No zero run is longer than the column, so a wider limit changes no
-    # count; clamping keeps the divisor inside the 32-bit index arithmetic.
-    max_run = min(int(max_run), int(num_rows))
+    if num_pes < 1:
+        raise EncodingError(f"num_pes must be >= 1, got {num_pes}")
     row_indices = np.asarray(row_indices, dtype=np.int64)
     col_ptr = np.asarray(col_ptr, dtype=np.int64)
     num_cols = col_ptr.shape[0] - 1
@@ -657,55 +651,61 @@ def interleaved_entry_counts(
         raise EncodingError("col_ptr must have at least one entry")
     if row_indices.size and (row_indices.min() < 0 or row_indices.max() >= num_rows):
         raise EncodingError("row indices out of range")
-    nnz_counts = np.zeros((num_pes, num_cols), dtype=np.int64)
+    total_counts = np.zeros((num_pes, num_cols), dtype=np.int64)
     padding_counts = np.zeros((num_pes, num_cols), dtype=np.int64)
-    if row_indices.size == 0:
-        return nnz_counts, padding_counts
+    num_entries = row_indices.shape[0]
+    if num_entries == 0:
+        return total_counts, padding_counts
 
-    # 32-bit index arithmetic (safe: rows/cols/groups all < 2**31 whenever
-    # the dense matrix has fewer than 2**31 cells) roughly halves the cost of
-    # the divmods and gathers on the paper-scale 13M-non-zero layers, and a
-    # power-of-two PE count turns the divmod into shift/mask.
-    if num_rows * num_cols < 2**31 and num_pes * num_cols < 2**31:
-        row_indices = row_indices.astype(np.int32, copy=False)
-        columns = np.repeat(np.arange(num_cols, dtype=np.int32), np.diff(col_ptr))
-        if num_pes & (num_pes - 1) == 0:
-            locals_ = row_indices >> np.int32(num_pes.bit_length() - 1)
-            pes = row_indices & np.int32(num_pes - 1)
-        else:
-            locals_, pes = np.divmod(row_indices, np.int32(num_pes))
-        flat_groups = pes * np.int32(num_cols) + columns
+    # One key per non-zero, ((pe * num_cols + column) << bits) | local_row.
+    # Sorting the keys groups the entries by (PE, column) with local rows
+    # ascending; the keys are unique, so any sort order is the same one.
+    # 32-bit keys halve the sort and arithmetic cost whenever they fit.
+    max_local_row = int((num_rows - 1) // num_pes)
+    bits = max_local_row.bit_length()
+    dtype = np.int32 if (num_pes * num_cols) << bits < 2**31 else np.int64
+    rows = row_indices.astype(dtype, copy=False)
+    if num_pes & (num_pes - 1) == 0:
+        keys = rows & dtype(num_pes - 1)
+        local_rows = rows >> dtype(num_pes.bit_length() - 1)
     else:
-        columns = np.repeat(np.arange(num_cols, dtype=np.int64), np.diff(col_ptr))
-        locals_, pes = np.divmod(row_indices, num_pes)
-        flat_groups = pes * num_cols + columns
+        local_rows, keys = np.divmod(rows, dtype(num_pes))
+    del rows
+    keys *= dtype(num_cols)
+    keys += np.repeat(np.arange(num_cols, dtype=dtype), np.diff(col_ptr))
+    keys <<= dtype(bits)
+    keys |= local_rows
+    del local_rows
+    keys.sort()
 
-    # Non-zero counts per (pe, column).
-    nnz_flat = np.bincount(flat_groups, minlength=num_pes * num_cols)
-    nnz_counts = nnz_flat.reshape(num_pes, num_cols)
-
-    # Padding zeros: gaps between consecutive local positions of each
-    # (PE, column) group.  The input is column-major with rows ascending, so
-    # one stable counting (radix) sort on the PE id leaves the entries
-    # grouped by (PE, column) with local rows still ascending — much cheaper
-    # than a two-key lexsort of the full index set.
-    order = _stable_order(pes, num_pes)
-    sorted_locals = locals_[order]
-    # Group starts in the sorted entry order come straight from the group
-    # sizes (the sorted group ids are exactly 0..P*C-1 in ascending order),
-    # so the sorted group-id array itself is never materialised.
-    first = np.zeros(sorted_locals.shape[0], dtype=bool)
-    group_starts = np.cumsum(nnz_flat[:-1])
-    first[0] = True
-    first[group_starts[group_starts < first.shape[0]]] = True
-    gaps = np.where(first, sorted_locals, np.subtract(sorted_locals, _shifted(sorted_locals)) - 1)
-    padding_per_entry = gaps // (max_run + 1)
-    padded_positions = np.flatnonzero(padding_per_entry > 0)
-    if padded_positions.size:
-        flat_padding = np.bincount(
-            flat_groups[order[padded_positions]],
-            weights=padding_per_entry[padded_positions].astype(np.float64),
-            minlength=num_pes * num_cols,
-        )
-        padding_counts = flat_padding.reshape(num_pes, num_cols).astype(np.int64)
-    return nnz_counts + padding_counts, padding_counts
+    groups = keys >> dtype(bits)
+    # last[i]: entry i closes its (PE, column) group.
+    last = np.empty(num_entries, dtype=bool)
+    np.not_equal(groups[1:], groups[:-1], out=last[:-1])
+    last[-1] = True
+    ends = np.flatnonzero(last).astype(dtype, copy=False)
+    del last
+    group_ids = groups[ends]
+    counts = np.diff(ends, prepend=dtype(-1))
+    # No zero run is longer than a PE's largest local row, so only a slice
+    # longer than max_run + 1 rows can need padding zeros.
+    if max_local_row > max_run:
+        # Zeros before each entry: its key minus one past the previous key,
+        # or minus its group's base key for a group's first entry.
+        groups <<= dtype(bits)
+        gaps = np.empty_like(keys)
+        gaps[0] = 0
+        np.add(keys[:-1], dtype(1), out=gaps[1:])
+        np.maximum(gaps, groups, out=gaps)
+        np.subtract(keys, gaps, out=gaps)
+        del keys, groups
+        gaps //= dtype(max_run + 1)
+        # A group's padding is the running padding total at its last entry
+        # minus the total at the previous group's last entry.
+        np.cumsum(gaps, dtype=dtype, out=gaps)
+        padding = np.diff(gaps[ends], prepend=dtype(0))
+        del gaps
+        padding_counts.reshape(-1)[group_ids] = padding
+        counts += padding
+    total_counts.reshape(-1)[group_ids] = counts
+    return total_counts, padding_counts

@@ -12,7 +12,7 @@ result machinery:
   baseline.
 
 Both sweep a ``model`` grid axis over the registered paper networks; pass
-``--set "grid.model=[alexnet_fc]"`` or ``--set params.scale=64`` to the CLI
+``--set 'grid.model=["alexnet_fc"]'`` or ``--set params.scale=64`` to the CLI
 for subsets and smoke runs.
 """
 

@@ -10,7 +10,7 @@ paid (the per-read ECC factor).  Every point derives its fault seed from
 ``(spec seed, model, scheme, ber)``, so a fixed spec reproduces
 byte-identical records on every executor.
 
-Smoke runs: ``--set "grid.model=[neuraltalk_lstm]"`` and
+Smoke runs: ``--set 'grid.model=["neuraltalk_lstm"]'`` and
 ``--set params.scale=32`` shrink the grid to CI size.
 """
 

@@ -163,6 +163,36 @@ class TestExperimentCommands:
         # A JSON-quoted string keeps its commas (no list splitting).
         assert _parse_override('params.label="a, b"') == ("params.label", "a, b")
 
+    @pytest.mark.parametrize(
+        "module, experiment",
+        [
+            ("repro.experiments.reliability_catalog", "reliability_pareto"),
+            ("repro.experiments.models_catalog", "model_storage"),
+            ("repro.experiments.models_catalog", "model_speedup"),
+        ],
+    )
+    def test_documented_set_hints_resolve_to_registered_models(self, module, experiment):
+        """Every ``--set`` hint in a catalog docstring works as typed in a shell."""
+        import importlib
+        import re
+        import shlex
+
+        from repro.cli import _experiment_spec_from_args
+        from repro.experiments.runner import ExperimentRunner
+        from repro.models.registry import ModelRegistry
+
+        hints = re.findall(r"``(--set [^`]+)``", importlib.import_module(module).__doc__)
+        assert hints
+        for hint in hints:
+            args = build_parser().parse_args(
+                ["experiment", "run", experiment, *shlex.split(hint)]
+            )
+            spec = _experiment_spec_from_args(args, "run")
+            _, _, _, points = ExperimentRunner().resolve(spec)
+            assert points
+            for point in points:
+                ModelRegistry.get(point["model"])
+
     def test_scale_on_fixed_workload_commands_prints_a_note(self, capsys):
         assert main(["table", "1", "--scale", "64"]) == 0
         captured = capsys.readouterr()

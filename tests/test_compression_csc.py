@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from entry_counts_oracle import oracle_entry_counts
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +274,13 @@ class TestInterleavedEntryCounts:
                 np.array([3]), np.array([0, 1]), num_rows=10, num_pes=2, max_run=max_run
             )
 
+    @pytest.mark.parametrize("num_pes", [0, -2])
+    def test_non_positive_num_pes_rejected(self, num_pes):
+        with pytest.raises(EncodingError, match="num_pes"):
+            interleaved_entry_counts(
+                np.array([3]), np.array([0, 1]), num_rows=10, num_pes=num_pes
+            )
+
     def test_empty_pattern(self):
         counts, padding = interleaved_entry_counts(
             np.array([], dtype=np.int64), np.array([0, 0, 0]), num_rows=10, num_pes=2
@@ -283,3 +291,59 @@ class TestInterleavedEntryCounts:
     def test_out_of_range_rows_rejected(self):
         with pytest.raises(EncodingError):
             interleaved_entry_counts(np.array([11]), np.array([0, 1]), num_rows=10, num_pes=2)
+
+
+@st.composite
+def sparsity_patterns(draw):
+    """``(row_indices, col_ptr, num_rows)`` of a random pattern in CSC order."""
+    num_rows = draw(st.integers(1, 300))
+    num_cols = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((num_cols, num_rows)) < density
+    # Row-major over (column, row): grouped by column, rows ascending.
+    _, rows = np.nonzero(mask)
+    col_ptr = np.zeros(num_cols + 1, dtype=np.int64)
+    np.cumsum(mask.sum(axis=1), out=col_ptr[1:])
+    return rows.astype(np.int64), col_ptr, num_rows
+
+
+def _one_column(rows, num_rows, num_cols=1):
+    """A pattern whose non-zeros all sit in the first of ``num_cols`` columns."""
+    col_ptr = np.full(num_cols + 1, len(rows), dtype=np.int64)
+    col_ptr[0] = 0
+    return np.asarray(rows, dtype=np.int64), col_ptr, num_rows
+
+
+class TestEntryCountsOracle:
+    """The packed-key sort returns exactly what the radix-grouping body did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pattern=sparsity_patterns(),
+        # 512 PEs is more than any drawn matrix has rows.
+        num_pes=st.sampled_from([1, 2, 3, 5, 7, 8, 16, 64, 512]),
+        max_run=st.sampled_from([1, 3, 15, 2**40 - 1]),
+    )
+    # Empty pattern.
+    @example(pattern=_one_column([], 10, num_cols=2), num_pes=3, max_run=15)
+    # A fully dense column.
+    @example(pattern=_one_column(range(90), 90, num_cols=3), num_pes=7, max_run=1)
+    # Every non-zero owned by PE 2 of 5.
+    @example(pattern=_one_column(range(2, 300, 25), 300), num_pes=5, max_run=3)
+    # More PEs than rows.
+    @example(pattern=_one_column([0, 1, 2], 3), num_pes=64, max_run=1)
+    # Keys too wide for int32: (5 PEs x 1024 columns) << 20 bits.
+    @example(
+        pattern=_one_column([0, 7, 2**21 + 3, 2**22 - 1], 2**22, num_cols=1024),
+        num_pes=5,
+        max_run=15,
+    )
+    def test_matches_radix_oracle(self, pattern, num_pes, max_run):
+        row_indices, col_ptr, num_rows = pattern
+        actual = interleaved_entry_counts(row_indices, col_ptr, num_rows, num_pes, max_run)
+        expected = oracle_entry_counts(row_indices, col_ptr, num_rows, num_pes, max_run)
+        for got, want in zip(actual, expected, strict=True):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)

@@ -2,9 +2,10 @@
 
 A direct engine-level recomputation guards the Figure 8 records, the table
 experiments must return exactly the rows of the ``repro.analysis.tables``
-row builders, the Figure 6/7 and Table IV/V results are pinned as literal
-digests, and the CLI's classic ``figure``/``table``/``ablation`` commands
-must print byte-identical output to ``experiment run <name>``.
+row builders, the Figure 6/7 and Table IV/V results and every experiment
+that counts interleaved-CSC entries are pinned as literal digests, and the
+CLI's classic ``figure``/``table``/``ablation`` commands must print
+byte-identical output to ``experiment run <name>``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,14 @@ class TestLegacyFunctionParity:
 #: sha256 of ``to_json()`` at ``scale=64`` (default configuration).  The
 #: provenance carries the package version, so a version bump re-pins these.
 RESULT_DIGESTS = {
+    "ablation_index_width": "8c611ed374e92d63ef387487ede2fed5b1cba60fd8517cbcfca0fba172380f02",
+    "ablation_partitioning": "29ca8fe4129eaeee5ea0b5c56a458ed3cff56eba56a932152714a3f22aa18507",
     "fig6_speedup": "589c57172c40ac108082403ed21eeeccea336262686d0c93ce8ab1a94b22e0f5",
     "fig7_energy_efficiency": "c2d8530e53ab4156eb3423e8670cb0bb226fca0e4ebbdd1debf49ef002f93c10",
+    "fig8_fifo_depth": "c4b59332f38c1f52e042eefd79412a377ce2da87812eceed5a70d4eb12145af6",
+    "fig11_scalability": "0d46f780d0e4bb32842cd6f9604dd26f2c67243ce289fb480a327b0320994577",
+    "fig12_padding_zeros": "0ea0a2335b1487a319bfb1a34ac775a475a9470902fa5b0c79bb6ce778c42c21",
+    "fig13_load_balance": "aaf3d19a8b13d6fe6c375065f24cf2bddb9bdd318d94f62f0a500293ebab951b",
     "table4_wallclock": "3ea8919537fac7d585f72ce73d20cae3e7b89b18261c3bb3eb204541d5510fc0",
     "table5_platforms": "2aa89154ae3c4f074d348e4bc48c3077ebbb33af5e1190fb9b1b73065e0ac003",
 }
