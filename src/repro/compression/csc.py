@@ -638,7 +638,7 @@ def interleaved_entry_counts(
 
     Raises:
         EncodingError: for ``max_run < 1`` or ``num_pes < 1``, like the
-            encoders.
+            encoders, and when the packed keys would not fit in 63 bits.
     """
     if max_run < 1:
         raise EncodingError(f"max_run must be >= 1, got {max_run}")
@@ -663,7 +663,12 @@ def interleaved_entry_counts(
     # 32-bit keys halve the sort and arithmetic cost whenever they fit.
     max_local_row = int((num_rows - 1) // num_pes)
     bits = max_local_row.bit_length()
-    dtype = np.int32 if (num_pes * num_cols) << bits < 2**31 else np.int64
+    key_range = (num_pes * num_cols) << bits
+    if key_range > 2**63:
+        raise EncodingError(
+            f"{num_rows} x {num_cols} pattern on {num_pes} PEs needs keys wider than 63 bits"
+        )
+    dtype = np.int32 if key_range < 2**31 else np.int64
     rows = row_indices.astype(dtype, copy=False)
     if num_pes & (num_pes - 1) == 0:
         keys = rows & dtype(num_pes - 1)

@@ -281,6 +281,22 @@ class TestInterleavedEntryCounts:
                 np.array([3]), np.array([0, 1]), num_rows=10, num_pes=num_pes
             )
 
+    def test_widest_int64_keys_count_exactly(self):
+        # One column of 2**62 + 1 rows fills the 63-bit key range; the
+        # padding count is above 2**53, where a float sum would round it.
+        counts, padding = interleaved_entry_counts(
+            np.array([5, 2**62]), np.array([0, 2]), num_rows=2**62 + 1, num_pes=1
+        )
+        assert padding.tolist() == [[(2**62 - 6) // 16]]
+        assert counts.tolist() == [[(2**62 - 6) // 16 + 2]]
+
+    def test_keys_wider_than_63_bits_rejected(self):
+        # Two columns of 2**62 + 1 rows on one PE need (2 << 63) keys.
+        with pytest.raises(EncodingError, match="63 bits"):
+            interleaved_entry_counts(
+                np.array([5, 2**62]), np.array([0, 1, 2]), num_rows=2**62 + 1, num_pes=1
+            )
+
     def test_empty_pattern(self):
         counts, padding = interleaved_entry_counts(
             np.array([], dtype=np.int64), np.array([0, 0, 0]), num_rows=10, num_pes=2
