@@ -7,7 +7,7 @@ dynamic batcher something to coalesce.
 
 Operations::
 
-    {"id": 7, "op": "infer", "model": "neuraltalk_lstm", "input": [...],
+    {"id": 7, "op": "infer", "model": "neuraltalk_lstm", "input": "AAAAAAAA8D8...",
      "deadline_s": 2.5}
     {"id": 8, "op": "models"}
     {"id": 9, "op": "stats"}
@@ -26,10 +26,18 @@ Successful ``infer`` responses mirror :class:`~repro.serve.server
 kind ``"overloaded"`` (plus ``retry_after_s``), ``"deadline_exceeded"``,
 ``"circuit_open"``, ``"worker_crashed"``, ``"closed"`` or
 ``"bad_request"``, which :class:`AsyncServeClient` maps back onto the
-typed :mod:`repro.errors` exceptions.  Floats cross the wire as JSON
-numbers, which Python serializes via ``repr`` (shortest round-trip form),
-so output vectors and simulated latencies survive the protocol **bit for
-bit** — the CI drain test depends on this.
+typed :mod:`repro.errors` exceptions.
+
+Vectors (a request's ``input``, a reply's ``outputs``) cross the wire as
+one base64 string of their little-endian float64 bytes (``"<f8"``), so
+they survive the protocol **bit for bit** by construction — ``-0.0``,
+subnormals and the extremes included — at a fraction of the cost of float
+text.  An ``input`` that is not a string, is not valid base64 or is not a
+whole number of 8-byte values is a ``bad_request``; its length and
+finiteness are checked by :meth:`Server.enqueue`.  Scalars (simulated
+latencies, energies) stay JSON numbers, which Python writes via ``repr``,
+the shortest form that reads back to the same float.  The CI drain and
+chaos checks depend on this bit identity.
 
 No request gets its own task: an ``infer`` line is queued inline and a
 done-callback writes its reply to an outbox flushed once per event-loop
@@ -39,6 +47,7 @@ pass.  The client waits on one future and one ``call_later`` timer.
 from __future__ import annotations
 
 import asyncio
+import base64
 import functools
 import json
 from typing import Any
@@ -60,8 +69,30 @@ from repro.utils.validation import is_finite_real
 
 __all__ = ["start_daemon", "AsyncServeClient"]
 
-#: Generous per-line bound: a paper-scale fc layer output is ~4k floats.
+#: Generous per-line bound: a paper-scale fc layer's ~4k-float vector is
+#: ~44 KB of base64 (8 bytes per float, 4/3 for base64).
 _LINE_LIMIT = 2**24
+
+
+def _encode_vector(vector: np.ndarray) -> str:
+    """``vector`` as base64 of its little-endian float64 bytes."""
+    return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode_vector(field: Any, name: str) -> np.ndarray:
+    """The float64 vector a wire ``field`` holds; :class:`ServeError` if malformed."""
+    if not isinstance(field, str):
+        raise ServeError(
+            f"{name!r} must be a base64 string of little-endian float64 bytes, "
+            f"got {type(field).__name__}"
+        )
+    try:
+        raw = base64.b64decode(field, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ServeError(f"{name!r} is not valid base64: {exc}") from None
+    if len(raw) % 8:
+        raise ServeError(f"{name!r} holds {len(raw)} bytes, not a whole number of float64s")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def _error_payload(request_id: Any, exc: BaseException) -> dict[str, Any]:
@@ -138,7 +169,7 @@ def _error_from_payload(payload: dict[str, Any]) -> ReproError:
 def _response_payload(request_id: Any, response: ServeResponse) -> dict[str, Any]:
     return {
         "id": request_id, "ok": True, "model": response.model,
-        "outputs": response.output.tolist(), "batch_size": response.batch_size,
+        "outputs": _encode_vector(response.output), "batch_size": response.batch_size,
         "total_cycles": response.total_cycles, "latency_s": response.latency_s,
         "energy_j": response.energy_j, "queue_wait_s": response.queue_wait_s,
         "service_s": response.service_s,
@@ -155,10 +186,11 @@ def _answer(server: Server, message: dict[str, Any]) -> dict[str, Any] | asyncio
             vector = message.get("input")
             if not isinstance(model, str) or vector is None:
                 raise ServeError("infer needs a 'model' name and an 'input' vector")
-            # Server.enqueue rejects a non-finite, boolean or non-positive
-            # deadline_s (json.loads accepts NaN and Infinity).
+            # Server.enqueue rejects a wrong length, a non-finite value and a
+            # non-finite, boolean or non-positive deadline_s (json.loads
+            # accepts NaN and Infinity).
             return server.enqueue(
-                model, np.asarray(vector, dtype=np.float64), deadline_s=message.get("deadline_s")
+                model, _decode_vector(vector, "input"), deadline_s=message.get("deadline_s")
             )
         if op == "models":
             return {
@@ -362,8 +394,8 @@ class AsyncServeClient:
                     continue
                 if future is not None and not future.done():
                     future.set_result(payload)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
+        except (ConnectionError, ValueError, asyncio.CancelledError):
+            pass  # ValueError: a line over the limit
         finally:
             for future in self._pending.values():
                 if not future.done():
@@ -427,10 +459,12 @@ class AsyncServeClient:
         deadline match what this client will actually wait.
         """
         vector = np.asarray(vector, dtype=np.float64)
+        if vector.ndim != 1:
+            raise ServeError(f"infer sends one vector, got shape {vector.shape}")
         message: dict[str, Any] = {
             "op": "infer",
             "model": model,
-            "input": vector.tolist(),
+            "input": _encode_vector(vector),
         }
         effective_deadline = (
             deadline_s
@@ -459,7 +493,7 @@ class AsyncServeClient:
         assert payload is not None
         return ServeResponse(
             model=payload["model"],
-            output=np.asarray(payload["outputs"], dtype=np.float64),
+            output=_decode_vector(payload.get("outputs"), "outputs"),
             batch_size=int(payload["batch_size"]),
             total_cycles=payload["total_cycles"],
             latency_s=payload["latency_s"],

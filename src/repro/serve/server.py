@@ -108,7 +108,7 @@ class ServeResponse:
 
 
 class _PendingRequest:
-    __slots__ = ("vector", "future", "enqueued_at", "deadline_at")
+    __slots__ = ("vector", "future", "enqueued_at", "deadline_s", "deadline_at")
 
     def __init__(
         self,
@@ -119,6 +119,8 @@ class _PendingRequest:
         self.vector = vector
         self.future = future
         self.enqueued_at = time.perf_counter()
+        # Kept as sent: deadline_at - enqueued_at rounds to the clock's ulp.
+        self.deadline_s = deadline_s
         # Deadlines cross the wire *relative* (seconds from receipt), so two
         # processes never need synchronized clocks; anchor to the local
         # monotonic clock on arrival.
@@ -417,7 +419,7 @@ class Server:
                         DeadlineExceededError(
                             f"request for {state.ir.name!r} expired after "
                             f"{now - pending.enqueued_at:.3f}s in queue",
-                            deadline_s=pending.deadline_at - pending.enqueued_at,
+                            deadline_s=pending.deadline_s,
                         )
                     )
             else:

@@ -11,6 +11,7 @@ SIGKILLs one to prove the supervisor's restart path end to end.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import signal
 
@@ -196,7 +197,7 @@ def _ok_infer(request_id) -> bytes:
         request_id,
         ok=True,
         model="m",
-        outputs=[1.0, 2.0],
+        outputs=base64.b64encode(np.array([1.0, 2.0], dtype="<f8").tobytes()).decode(),
         batch_size=1,
         total_cycles=10,
         latency_s=1e-6,

@@ -1,13 +1,15 @@
 """Tests for the JSON-lines TCP protocol: daemon + client round trips.
 
-The wire format must preserve every float bit (JSON numbers serialize via
-``repr``, the shortest round-trip form), so a remote client sees exactly
-the offline ``run_model`` bits — the CI daemon job leans on this.
+The wire format must preserve every float bit (vectors cross as base64 of
+their little-endian float64 bytes, scalars as JSON numbers written via
+``repr``), so a remote client sees exactly the offline ``run_model`` bits
+— the CI daemon job leans on this.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import os
 import re
@@ -19,23 +21,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EIEConfig
 from repro.engine.session import Session
 from repro.errors import (
     ServeError,
     ServeTimeoutError,
+    ServerClosedError,
     ServerOverloadedError,
 )
 from repro.models import build_model, synthetic_model_inputs
 from repro.serve import AsyncServeClient, BatchPolicy, Server, start_daemon
 
 CONFIG = EIEConfig(num_pes=8)
+#: ``neuraltalk_lstm`` at scale 64 (the ``model`` fixture) reads this many floats.
+INPUT_SIZE = 18
+_MAX = np.finfo(np.float64).max
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @pytest.fixture(scope="module")
 def model():
     return build_model("neuraltalk_lstm", scale=64)
+
+
+def _b64(vector) -> str:
+    """A vector as the wire writes it: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode()
+
+
+def _from_b64(field: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(field), dtype="<f8")
 
 
 def _run(main):
@@ -97,6 +115,33 @@ class TestRoundTrip:
             assert np.array_equal(response.output, reference.outputs[0])
             assert response.total_cycles == reference.total_cycles
             assert response.latency_s == reference.latency_s
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=INPUT_SIZE, max_size=INPUT_SIZE))
+    @example([-0.0] * INPUT_SIZE)
+    @example([_TINY, -_TINY, 2.2250738585072014e-308 / 3, -0.0] * 4 + [_MAX, -_MAX])
+    @example([_MAX, -_MAX] * (INPUT_SIZE // 2))
+    def test_any_finite_vector_crosses_the_wire_bit_for_bit(self, model, values):
+        assert model.input_size == INPUT_SIZE
+        vector = np.array(values, dtype=np.float64)
+        offline = Session(config=CONFIG).run_model("cycle", model, vector, CONFIG).outputs[0]
+        received = []
+
+        async def scenario(client, server):
+            enqueue = server.enqueue
+
+            def recording(name, row, **kwargs):
+                received.append(np.asarray(row).tobytes())
+                return enqueue(name, row, **kwargs)
+
+            server.enqueue = recording
+            return await client.infer(model.name, vector)
+
+        response = _with_daemon(model, scenario)
+        assert received == [vector.tobytes()]  # the request, bit for bit
+        assert response.output.dtype == np.float64
+        assert response.output.tobytes() == offline.tobytes()  # and the reply
 
     def test_models_stats_and_ping(self, model):
         async def scenario(client, server):
@@ -253,7 +298,7 @@ class TestProtocolRobustness:
         session = Session(config=CONFIG)
         offline = [session.run_model("cycle", model, row, CONFIG).outputs[0] for row in inputs]
         lines = [
-            json.dumps({"id": i, "op": "infer", "model": model.name, "input": row.tolist()})
+            json.dumps({"id": i, "op": "infer", "model": model.name, "input": _b64(row)})
             for i, row in enumerate(inputs)
         ]
         lines += ["not json", json.dumps({"id": "p", "op": "ping"}), '{"id": "s", "op": "stats"}']
@@ -283,10 +328,57 @@ class TestProtocolRobustness:
         by_id = {reply["id"]: reply for reply in replies}
         for i, expected in enumerate(offline):
             assert by_id[i]["ok"] is True
-            assert np.asarray(by_id[i]["outputs"]).tobytes() == expected.tobytes()
+            assert _from_b64(by_id[i]["outputs"]).tobytes() == expected.tobytes()
         assert by_id[None]["error"] == "bad_request"
         assert by_id["p"]["pong"] is True
         assert by_id["s"]["stats"]["models"][model.name]["received"] == 64
+
+    @pytest.mark.parametrize(
+        "field, fragment",
+        [
+            (42, "base64 string"),
+            ([0.0] * INPUT_SIZE, "base64 string"),  # the old JSON-list format
+            ("AAAA$AAAAAAA", "not valid base64"),
+            ("AAAAAAAA8D8", "not valid base64"),  # missing padding
+            ("AAAAAAAA8D8é", "not valid base64"),  # not ASCII
+            (base64.b64encode(bytes(7)).decode(), "not a whole number"),
+            (_b64(np.zeros(INPUT_SIZE - 1)), "one vector of length"),
+            (_b64([np.nan] + [0.0] * (INPUT_SIZE - 1)), "non-finite"),
+            (_b64([0.0] * (INPUT_SIZE - 1) + [np.inf]), "non-finite"),
+        ],
+        ids=[
+            "number", "json-list", "bad-character", "no-padding", "non-ascii",
+            "seven-bytes", "short-vector", "nan", "inf",
+        ],
+    )
+    def test_malformed_input_vector_is_a_bad_request_and_the_connection_serves_on(
+        self, model, field, fragment
+    ):
+        vector = synthetic_model_inputs(model, batch=1, seed=3)[0]
+        offline = Session(config=CONFIG).run_model("cycle", model, vector, CONFIG).outputs[0]
+
+        async def scenario(client, server):
+            host, port = client._writer.get_extra_info("peername")[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            replies = []
+            try:
+                bad = {"id": "bad", "op": "infer", "model": model.name, "input": field}
+                good = {"id": "good", "op": "infer", "model": model.name, "input": _b64(vector)}
+                for message in (bad, good):
+                    writer.write(json.dumps(message).encode() + b"\n")
+                    await writer.drain()
+                    replies.append(json.loads(await reader.readline()))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        rejected, answered = _with_daemon(model, scenario)
+        assert rejected["id"] == "bad"
+        assert rejected["ok"] is False and rejected["error"] == "bad_request"
+        assert fragment in rejected["message"]
+        assert answered["id"] == "good" and answered["ok"] is True
+        assert _from_b64(answered["outputs"]).tobytes() == offline.tobytes()
 
     def test_replies_queued_before_eof_are_written_before_close(self, model):
         from repro.serve.protocol import _handle_connection
@@ -391,7 +483,7 @@ def _ok_infer_reply(request_id):
     return (
         json.dumps(
             {
-                "id": request_id, "ok": True, "model": "m", "outputs": [1.0, 2.0],
+                "id": request_id, "ok": True, "model": "m", "outputs": _b64([1.0, 2.0]),
                 "batch_size": 1, "total_cycles": 10, "latency_s": 1e-6,
                 "energy_j": 1e-9, "queue_wait_s": 0.0, "service_s": 1e-6,
             }
@@ -489,6 +581,52 @@ class TestClientTimeoutAndRetry:
 
         _with_stub_server(respond, scenario, timeout_s=5.0)
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [[1.0, 2.0], None, "AAAA$AAA", base64.b64encode(bytes(7)).decode()],
+        ids=["json-list", "missing", "bad-character", "seven-bytes"],
+    )
+    def test_malformed_outputs_raise_a_typed_serve_error(self, outputs):
+        def respond(message, count):
+            reply = json.loads(_ok_infer_reply(message["id"]))
+            reply["outputs"] = outputs
+            return json.dumps(reply).encode() + b"\n"
+
+        async def scenario(client):
+            with pytest.raises(ServeError, match="'outputs'") as excinfo:
+                await client.infer("m", np.zeros(4))
+            assert type(excinfo.value) is ServeError
+            # The connection is still usable.
+            with pytest.raises(ServeError, match="'outputs'"):
+                await client.infer("m", np.zeros(4))
+
+        _with_stub_server(respond, scenario, timeout_s=5.0)
+
+    def test_close_after_an_over_limit_reply_line_does_not_raise(self, monkeypatch):
+        import repro.serve.protocol as protocol
+
+        # StreamReader.readline raises ValueError for an over-limit line.
+        monkeypatch.setattr(protocol, "_LINE_LIMIT", 1024)
+
+        def respond(message, count):
+            return json.dumps({"id": message["id"], "pad": "x" * 4096}).encode() + b"\n"
+
+        async def scenario(client):
+            with pytest.raises(ServerClosedError):
+                await client.ping()
+            with pytest.raises(ServerClosedError):
+                await client.ping()
+
+        # _with_stub_server awaits client.close(), which must not raise.
+        assert len(_with_stub_server(respond, scenario, timeout_s=5.0)) == 1
+
+    def test_infer_refuses_a_matrix(self):
+        async def scenario(client):
+            with pytest.raises(ServeError, match="one vector"):
+                await client.infer("m", np.zeros((2, 4)))
+
+        assert _with_stub_server(lambda message, count: b"", scenario, timeout_s=5.0) == []
+
     def test_invalid_client_parameters_rejected(self):
         # Validation fires before the reader task spawns, so no event loop
         # (and no real socket) is needed.
@@ -559,7 +697,7 @@ class TestHealthDeadlineAndChaosVerbs:
                     json.dumps(
                         {
                             "id": 1, "op": "infer", "model": model.name,
-                            "input": [0.0] * model.input_size,
+                            "input": _b64(np.zeros(model.input_size)),
                             "deadline_s": deadline_s,
                         }
                     ).encode()
@@ -590,7 +728,7 @@ class TestHealthDeadlineAndChaosVerbs:
                 writer.write(
                     json.dumps(
                         {"id": 1, "op": "infer", "model": model.name,
-                         "input": poisoned.tolist()}
+                         "input": _b64(poisoned)}
                     ).encode()
                     + b"\n"
                 )

@@ -274,6 +274,23 @@ class TestDeadlinesHealthAndChaos:
 
         asyncio.run(drive())
 
+    def test_expired_deadline_reports_the_deadline_sent_exactly(self, model, monkeypatch):
+        from repro.errors import DeadlineExceededError
+
+        # Late in a host's uptime the clock reads ~2**20 s, where
+        # (t + 1e-6) - t is off from 1e-6 by ~1e-10.
+        clock = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: clock() + 2.0**20)
+
+        async def drive():
+            policy = BatchPolicy(max_batch=8, max_wait_us=30_000.0)
+            async with Server([model], config=CONFIG, policy=policy) as server:
+                with pytest.raises(DeadlineExceededError) as excinfo:
+                    await server.submit(model.name, np.zeros(model.input_size), deadline_s=1e-6)
+            assert excinfo.value.deadline_s == 1e-6
+
+        asyncio.run(drive())
+
     def test_generous_deadline_completes_bit_identical(
         self, model, requests_and_offline
     ):
