@@ -183,14 +183,15 @@ def _answer(server: Server, message: dict[str, Any]) -> dict[str, Any] | asyncio
     try:
         if op == "infer":
             model = message.get("model")
-            vector = message.get("input")
-            if not isinstance(model, str) or vector is None:
-                raise ServeError("infer needs a 'model' name and an 'input' vector")
+            if not isinstance(model, str):
+                raise ServeError("infer needs a 'model' name")
             # Server.enqueue rejects a wrong length, a non-finite value and a
             # non-finite, boolean or non-positive deadline_s (json.loads
             # accepts NaN and Infinity).
             return server.enqueue(
-                model, _decode_vector(vector, "input"), deadline_s=message.get("deadline_s")
+                model,
+                _decode_vector(message.get("input"), "input"),
+                deadline_s=message.get("deadline_s"),
             )
         if op == "models":
             return {

@@ -336,6 +336,7 @@ class TestProtocolRobustness:
     @pytest.mark.parametrize(
         "field, fragment",
         [
+            (None, "base64 string"),
             (42, "base64 string"),
             ([0.0] * INPUT_SIZE, "base64 string"),  # the old JSON-list format
             ("AAAA$AAAAAAA", "not valid base64"),
@@ -347,7 +348,7 @@ class TestProtocolRobustness:
             (_b64([0.0] * (INPUT_SIZE - 1) + [np.inf]), "non-finite"),
         ],
         ids=[
-            "number", "json-list", "bad-character", "no-padding", "non-ascii",
+            "null", "number", "json-list", "bad-character", "no-padding", "non-ascii",
             "seven-bytes", "short-vector", "nan", "inf",
         ],
     )
