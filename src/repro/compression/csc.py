@@ -26,12 +26,14 @@ per-element reference implementations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from repro.errors import EncodingError
+from repro.utils.parallel import run_parts, split_parts
 from repro.utils.validation import require_matrix
 
 __all__ = [
@@ -624,9 +626,17 @@ def interleaved_entry_counts(
     groups them by (PE, column), and the zero runs, padding zeros and group
     sizes are read off the sorted keys.
 
+    Above :data:`~repro.utils.parallel.SPLIT_FLOOR` entries, on a host with
+    two usable CPUs, the columns split where half the entries fall and each
+    half sorts and reduces its own keys on its own thread.  A (PE, column)
+    group lies wholly in one half and its counts depend on its own keys
+    only, and the keys keep the global column, so the halves fill disjoint
+    cells of the outputs with exactly the serial values.
+
     Args:
         row_indices: row index of every non-zero, grouped by column (CSC
-            order; rows within a column must be sorted ascending).
+            order; rows within a column must be sorted ascending).  Any
+            integer dtype; it is converted straight to the key dtype.
         col_ptr: length ``num_cols + 1`` offsets into ``row_indices``.
         num_rows: dense row count.
         num_pes: number of processing elements.
@@ -638,22 +648,48 @@ def interleaved_entry_counts(
 
     Raises:
         EncodingError: for ``max_run < 1`` or ``num_pes < 1``, like the
-            encoders, and when the packed keys would not fit in 63 bits.
+            encoders; for row indices that are not integers or lie outside
+            ``[0, num_rows)``; for a
+            ``col_ptr`` that does not start at 0, decreases or does not end
+            at ``len(row_indices)``; and when the packed keys would not fit
+            in 63 bits.
     """
+    return _entry_counts(
+        row_indices, col_ptr, num_rows, num_pes, max_run, split_parts(np.size(row_indices))
+    )
+
+
+def _entry_counts(
+    row_indices: np.ndarray,
+    col_ptr: np.ndarray,
+    num_rows: int,
+    num_pes: int,
+    max_run: int,
+    parts: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`interleaved_entry_counts`' body, split into up to ``parts`` parts."""
     if max_run < 1:
         raise EncodingError(f"max_run must be >= 1, got {max_run}")
     if num_pes < 1:
         raise EncodingError(f"num_pes must be >= 1, got {num_pes}")
-    row_indices = np.asarray(row_indices, dtype=np.int64)
+    row_indices = np.asarray(row_indices)
     col_ptr = np.asarray(col_ptr, dtype=np.int64)
     num_cols = col_ptr.shape[0] - 1
     if num_cols < 0:
         raise EncodingError("col_ptr must have at least one entry")
-    if row_indices.size and (row_indices.min() < 0 or row_indices.max() >= num_rows):
+    num_entries = row_indices.shape[0]
+    column_nnz = np.diff(col_ptr)
+    if col_ptr[0] != 0 or col_ptr[-1] != num_entries or (column_nnz < 0).any():
+        raise EncodingError(
+            f"col_ptr must start at 0, never decrease and end at {num_entries} "
+            "(the number of row indices)"
+        )
+    if num_entries and row_indices.dtype.kind not in "iu":
+        raise EncodingError(f"row indices must be integers, got {row_indices.dtype}")
+    if num_entries and (row_indices.min() < 0 or row_indices.max() >= num_rows):
         raise EncodingError("row indices out of range")
     total_counts = np.zeros((num_pes, num_cols), dtype=np.int64)
     padding_counts = np.zeros((num_pes, num_cols), dtype=np.int64)
-    num_entries = row_indices.shape[0]
     if num_entries == 0:
         return total_counts, padding_counts
 
@@ -669,48 +705,90 @@ def interleaved_entry_counts(
             f"{num_rows} x {num_cols} pattern on {num_pes} PEs needs keys wider than 63 bits"
         )
     dtype = np.int32 if key_range < 2**31 else np.int64
-    rows = row_indices.astype(dtype, copy=False)
+    # Part boundaries: the first column at or after each share of the entries.
+    shares = [num_entries * part // parts for part in range(1, parts)]
+    bounds = [0, *np.searchsorted(col_ptr, shares).tolist(), num_cols]
+    tasks = []
+    for start, end in zip(bounds, bounds[1:]):
+        begin, stop = int(col_ptr[start]), int(col_ptr[end])
+        if stop == begin:
+            continue
+        # The caller allocates each part's entry-sized arrays, so no worker
+        # thread's malloc arena holds one: the column of every entry, turned
+        # into its key in place, and three more of the same length.
+        workspace = [
+            np.repeat(np.arange(start, end, dtype=dtype), column_nnz[start:end]),
+            np.empty(stop - begin, dtype=dtype),
+            np.empty(stop - begin, dtype=dtype),
+            np.empty(stop - begin, dtype=bool),
+        ]
+        tasks.append(functools.partial(
+            _count_part, row_indices[begin:stop], workspace, num_rows, num_pes, max_run, bits,
+            total_counts, padding_counts,
+        ))
+    run_parts(tasks)
+    return total_counts, padding_counts
+
+
+def _count_part(
+    rows: np.ndarray,
+    workspace: list[np.ndarray],
+    num_rows: int,
+    num_pes: int,
+    max_run: int,
+    bits: int,
+    total_counts: np.ndarray,
+    padding_counts: np.ndarray,
+) -> None:
+    """Fill the counts of the whole columns whose row indices are ``rows``.
+
+    ``workspace`` holds each entry's column and three more arrays of the same
+    length; the part takes them out of the list, so they are freed before
+    the scatter faults in the output pages.
+    """
+    keys, aux, gaps, last = workspace
+    workspace.clear()
+    dtype = keys.dtype.type
+    num_cols = total_counts.shape[1]
+    # The ufuncs read the rows in their own dtype and write key-dtype arrays.
     if num_pes & (num_pes - 1) == 0:
-        keys = rows & dtype(num_pes - 1)
-        local_rows = rows >> dtype(num_pes.bit_length() - 1)
+        np.bitwise_and(rows, num_pes - 1, out=aux, dtype=dtype)
+        aux *= dtype(num_cols)
+        keys += aux
+        np.right_shift(rows, num_pes.bit_length() - 1, out=aux, dtype=dtype)
     else:
-        local_rows, keys = np.divmod(rows, dtype(num_pes))
-    del rows
-    keys *= dtype(num_cols)
-    keys += np.repeat(np.arange(num_cols, dtype=dtype), np.diff(col_ptr))
+        np.divmod(rows, num_pes, out=(aux, gaps), dtype=dtype)
+        gaps *= dtype(num_cols)
+        keys += gaps
     keys <<= dtype(bits)
-    keys |= local_rows
-    del local_rows
+    keys |= aux
     keys.sort()
 
-    groups = keys >> dtype(bits)
+    groups = np.right_shift(keys, dtype(bits), out=aux)
     # last[i]: entry i closes its (PE, column) group.
-    last = np.empty(num_entries, dtype=bool)
     np.not_equal(groups[1:], groups[:-1], out=last[:-1])
     last[-1] = True
     ends = np.flatnonzero(last).astype(dtype, copy=False)
-    del last
     group_ids = groups[ends]
     counts = np.diff(ends, prepend=dtype(-1))
+    padding = None
     # No zero run is longer than a PE's largest local row, so only a slice
     # longer than max_run + 1 rows can need padding zeros.
-    if max_local_row > max_run:
+    if (num_rows - 1) // num_pes > max_run:
         # Zeros before each entry: its key minus one past the previous key,
         # or minus its group's base key for a group's first entry.
         groups <<= dtype(bits)
-        gaps = np.empty_like(keys)
         gaps[0] = 0
         np.add(keys[:-1], dtype(1), out=gaps[1:])
         np.maximum(gaps, groups, out=gaps)
         np.subtract(keys, gaps, out=gaps)
-        del keys, groups
         gaps //= dtype(max_run + 1)
         # A group's padding is the running padding total at its last entry
         # minus the total at the previous group's last entry.
         np.cumsum(gaps, dtype=dtype, out=gaps)
         padding = np.diff(gaps[ends], prepend=dtype(0))
-        del gaps
-        padding_counts.reshape(-1)[group_ids] = padding
         counts += padding
+    del keys, aux, gaps, last, groups
+    if padding is not None:
+        padding_counts.reshape(-1)[group_ids] = padding
     total_counts.reshape(-1)[group_ids] = counts
-    return total_counts, padding_counts

@@ -9,11 +9,15 @@ energy model and the figures.
 :class:`WorkloadBuilder` caches the expensive part — the Bernoulli sparsity
 pattern of each benchmark — so that the design-space sweeps (varying FIFO
 depth, PE count or SRAM width over the same layer) do not regenerate it.
+Each cached value is computed once, also when the ``threads`` executor asks
+for it from two threads at once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import Callable, Generic, Hashable, TypeVar
 
 import numpy as np
 
@@ -26,6 +30,8 @@ from repro.workloads.benchmarks import LayerSpec
 from repro.workloads.synthetic import SparsePattern, generate_activations, generate_sparse_pattern
 
 __all__ = ["LayerWorkload", "WorkloadBuilder"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -96,6 +102,35 @@ class LayerWorkload:
         return engine.run(engine.prepare(self)).stats
 
 
+class _ComputeOnce(Generic[T]):
+    """A cache whose value for each key is computed once, also under threads.
+
+    Concurrent callers of one missing key wait for the first to compute it;
+    different keys compute in parallel.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[Hashable, T] = {}
+        self._key_locks: dict[Hashable, threading.Lock] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, factory: Callable[[], T]) -> T:
+        """The value of ``key``, computed by ``factory`` (never ``None``) once."""
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            value = self._values.get(key)
+            if value is None:
+                value = self._values[key] = factory()
+        return value
+
+    def clear(self) -> None:
+        """Forget every value."""
+        with self._lock:
+            self._values.clear()
+            self._key_locks.clear()
+
+
 class WorkloadBuilder:
     """Builds (and caches) full-scale benchmark workloads.
 
@@ -105,37 +140,35 @@ class WorkloadBuilder:
 
     def __init__(self, max_run: int = DEFAULT_MAX_RUN) -> None:
         self.max_run = int(max_run)
-        self._pattern_cache: dict[tuple[str, int, int, float], SparsePattern] = {}
-        self._activation_cache: dict[tuple[str, int, int, float], np.ndarray] = {}
-        self._workload_cache: dict[tuple[str, int, int, float, float, int], LayerWorkload] = {}
+        self._patterns: _ComputeOnce[SparsePattern] = _ComputeOnce()
+        self._activations: _ComputeOnce[np.ndarray] = _ComputeOnce()
+        self._workloads: _ComputeOnce[LayerWorkload] = _ComputeOnce()
 
     # -- cached primitives ---------------------------------------------------------
 
     def pattern(self, spec: LayerSpec) -> SparsePattern:
         """The (cached) weight sparsity pattern for ``spec``."""
-        key = (spec.name, spec.rows, spec.cols, spec.weight_density)
-        if key not in self._pattern_cache:
-            rng = make_rng(spec.weight_seed)
-            self._pattern_cache[key] = generate_sparse_pattern(
-                spec.rows, spec.cols, spec.weight_density, rng
-            )
-        return self._pattern_cache[key]
+        return self._patterns.get(
+            (spec.name, spec.rows, spec.cols, spec.weight_density),
+            lambda: generate_sparse_pattern(
+                spec.rows, spec.cols, spec.weight_density, make_rng(spec.weight_seed)
+            ),
+        )
 
     def activations(self, spec: LayerSpec) -> np.ndarray:
         """The (cached) input activation vector for ``spec``."""
-        key = (spec.name, spec.cols, spec.rows, spec.activation_density)
-        if key not in self._activation_cache:
-            rng = make_rng(spec.activation_seed)
-            self._activation_cache[key] = generate_activations(
-                spec.cols, spec.activation_density, rng
-            )
-        return self._activation_cache[key]
+        return self._activations.get(
+            (spec.name, spec.cols, spec.rows, spec.activation_density),
+            lambda: generate_activations(
+                spec.cols, spec.activation_density, make_rng(spec.activation_seed)
+            ),
+        )
 
     def clear_cache(self) -> None:
         """Drop all cached patterns, activation vectors and workloads."""
-        self._pattern_cache.clear()
-        self._activation_cache.clear()
-        self._workload_cache.clear()
+        self._patterns.clear()
+        self._activations.clear()
+        self._workloads.clear()
 
     # -- workload assembly ------------------------------------------------------------
 
@@ -152,8 +185,9 @@ class WorkloadBuilder:
             spec.name, spec.rows, spec.cols, spec.weight_density, spec.activation_density,
             int(num_pes),
         )
-        if cache_key in self._workload_cache:
-            return self._workload_cache[cache_key]
+        return self._workloads.get(cache_key, lambda: self._assemble(spec, int(num_pes)))
+
+    def _assemble(self, spec: LayerSpec, num_pes: int) -> LayerWorkload:
         pattern = self.pattern(spec)
         activations = self.activations(spec)
         counts, padding = interleaved_entry_counts(
@@ -164,19 +198,15 @@ class WorkloadBuilder:
             max_run=self.max_run,
         )
         nonzero_columns = np.nonzero(activations)[0]
-        work = counts[:, nonzero_columns]
-        padding_work = padding[:, nonzero_columns]
         total_entries = int(counts.sum())
         total_padding = int(padding.sum())
-        workload = LayerWorkload(
+        return LayerWorkload(
             spec=spec,
             num_pes=num_pes,
-            work=work,
-            padding_work=padding_work,
+            work=counts[:, nonzero_columns],
+            padding_work=padding[:, nonzero_columns],
             nonzero_columns=nonzero_columns,
             total_entries=total_entries,
             total_padding=total_padding,
             true_nonzeros=total_entries - total_padding,
         )
-        self._workload_cache[cache_key] = workload
-        return workload

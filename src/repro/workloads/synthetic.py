@@ -10,11 +10,14 @@ the :class:`~repro.workloads.benchmarks.LayerSpec`.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.utils.parallel import run_parts, split_parts
 from repro.utils.rng import make_rng
 from repro.workloads.benchmarks import LayerSpec
 
@@ -32,7 +35,10 @@ class SparsePattern:
 
     Attributes:
         row_indices: row index of every non-zero, grouped by column with rows
-            sorted ascending within each column.
+            sorted ascending within each column.  Generated patterns store
+            them as int16 when ``rows <= 2**15`` (every Table III layer) and
+            as int32 otherwise: the nine Table III patterns take ~26 MB
+            instead of ~102 MB as int64.
         col_ptr: length ``num_cols + 1`` offsets into ``row_indices``.
         shape: dense ``(rows, cols)``.
     """
@@ -90,34 +96,123 @@ def generate_sparse_pattern(
 ) -> SparsePattern:
     """Sample a Bernoulli(``density``) sparsity pattern of shape (rows, cols).
 
-    Columns are generated in blocks to bound peak memory for the large VGG-6
-    matrix (25088 x 4096).
+    Columns are drawn ``column_block`` at a time, each block as one
+    ``(rows, width)`` array of uniform doubles in C order, to bound peak
+    memory for the large VGG-6 matrix (4096 x 25088).  Position ``(i, j)`` is
+    a non-zero when its double is below ``density``.
+
+    Above :data:`~repro.utils.parallel.SPLIT_FLOOR` draws, on a PCG64 or
+    PCG64DXSM generator and a host with two usable CPUs, the columns split
+    at a block boundary into two halves sampled on two threads.  The first
+    half draws from ``rng`` itself, the second from a copy of its bit
+    generator advanced past the first half's ``rows * split`` doubles, and
+    every block keeps its serial width, so each double lands where the
+    serial loop would put it and the pattern is bit for bit the serial one.
+    Either way ``rng`` ends ``rows * cols`` doubles on, with any buffered
+    32-bit half it held kept.  Other bit generators always run serially.
     """
     if rows < 1 or cols < 1:
         raise WorkloadError("rows and cols must be >= 1")
     if not 0.0 < density <= 1.0:
         raise WorkloadError(f"density must be in (0, 1], got {density}")
-    rng = make_rng(rng)
-    chunks: list[np.ndarray] = []
+    if column_block < 1:
+        raise WorkloadError(f"column_block must be >= 1, got {column_block}")
+    return _sample_pattern(
+        rows, cols, density, make_rng(rng), column_block, split_parts(rows * cols)
+    )
+
+
+def _sample_pattern(
+    rows: int,
+    cols: int,
+    density: float,
+    rng: np.random.Generator,
+    column_block: int,
+    parts: int,
+) -> SparsePattern:
+    """:func:`generate_sparse_pattern`'s body, split into up to ``parts`` parts."""
+    bit_generator = rng.bit_generator
+    num_blocks = -(-cols // column_block)
+    # Only the PCG64 family's ``advance(n)`` skips exactly the n doubles
+    # that ``random`` would consume; any other generator samples serially.
+    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        parts = 1
+    parts = min(parts, num_blocks)
+    bounds = [min(cols, num_blocks * part // parts * column_block) for part in range(parts + 1)]
+    width = min(column_block, cols)
+    row_dtype = np.dtype(np.int16 if rows <= 2**15 else np.int32)
     column_counts = np.zeros(cols, dtype=np.int64)
-    transposed = np.empty((min(column_block, cols), rows), dtype=bool)
-    for start in range(0, cols, column_block):
-        end = min(start + column_block, cols)
-        block = rng.random((rows, end - start)) < density
-        # A contiguous transpose copy (into a buffer reused across blocks)
-        # groups the non-zeros by column with rows ascending — exactly the
-        # ordering SparsePattern requires — and makes the non-zero scan run
-        # over contiguous memory.
-        block_t = transposed[: end - start]
-        np.copyto(block_t, block.T)
-        flat = np.flatnonzero(block_t)
-        column_offsets, row_ids = np.divmod(flat, rows)
-        chunks.append(row_ids)
-        column_counts[start:end] = np.bincount(column_offsets, minlength=end - start)
-    row_indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    tasks = []
+    for start, end in zip(bounds, bounds[1:]):
+        part_rng = rng
+        if start:
+            part_generator = copy.deepcopy(bit_generator)
+            part_generator.advance(rows * start)
+            part_rng = np.random.Generator(part_generator)
+        # The caller allocates every part's draw, mask and transposed-mask
+        # buffers, so a worker thread's malloc arena never holds one.
+        buffers = (
+            np.empty(rows * width),
+            np.empty(rows * width, dtype=bool),
+            np.empty(rows * width, dtype=bool),
+        )
+        tasks.append(functools.partial(
+            _sample_columns, part_rng, rows, start, end, density, column_block, row_dtype,
+            column_counts, buffers,
+        ))
+    chunks = [chunk for part in run_parts(tasks) for chunk in part]
+    if parts > 1:
+        # Move the caller's generator, which drew the first part, past the
+        # rest.  ``advance`` also drops the buffered 32-bit half of a word,
+        # which double draws never touch, so put it back.
+        kept = bit_generator.state
+        bit_generator.advance(rows * (cols - bounds[1]))
+        state = bit_generator.state
+        state["has_uint32"] = kept["has_uint32"]
+        state["uinteger"] = kept["uinteger"]
+        bit_generator.state = state
+    row_indices = np.concatenate(chunks)
     col_ptr = np.zeros(cols + 1, dtype=np.int64)
     np.cumsum(column_counts, out=col_ptr[1:])
     return SparsePattern(row_indices=row_indices, col_ptr=col_ptr, shape=(rows, cols))
+
+
+def _sample_columns(
+    rng: np.random.Generator,
+    rows: int,
+    start: int,
+    end: int,
+    density: float,
+    column_block: int,
+    row_dtype: np.dtype,
+    column_counts: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[np.ndarray]:
+    """Row indices of columns ``[start, end)``, one chunk per block.
+
+    Writes the columns' non-zero counts into ``column_counts[start:end]``;
+    ``buffers`` are flat draw, mask and transposed-mask buffers, each
+    ``rows * column_block`` long.
+    """
+    draws, mask, transposed = buffers
+    chunks = []
+    for block_start in range(start, end, column_block):
+        width = min(column_block, end - block_start)
+        block = draws[: rows * width].reshape(rows, width)
+        rng.random(out=block)
+        block_mask = mask[: rows * width].reshape(rows, width)
+        np.less(block, density, out=block_mask)
+        # A contiguous transpose copy groups the non-zeros by column with
+        # rows ascending — exactly the ordering SparsePattern requires — and
+        # makes the non-zero scan run over contiguous memory.
+        block_t = transposed[: rows * width].reshape(width, rows)
+        np.copyto(block_t, block_mask.T)
+        column_offsets, row_ids = np.divmod(np.flatnonzero(block_t), rows)
+        chunks.append(row_ids.astype(row_dtype))
+        column_counts[block_start : block_start + width] = np.bincount(
+            column_offsets, minlength=width
+        )
+    return chunks
 
 
 def generate_activations(

@@ -308,6 +308,27 @@ class TestInterleavedEntryCounts:
         with pytest.raises(EncodingError):
             interleaved_entry_counts(np.array([11]), np.array([0, 1]), num_rows=10, num_pes=2)
 
+    def test_non_integer_rows_rejected(self):
+        with pytest.raises(EncodingError, match="integers"):
+            interleaved_entry_counts(
+                np.array([0.0, 4.0, 1.0]), np.array([0, 2, 3]), num_rows=10, num_pes=2
+            )
+
+    @pytest.mark.parametrize(
+        "col_ptr",
+        [
+            [1, 2, 3],  # does not start at 0
+            [0, 3, 2, 3],  # decreases
+            [0, 1, 2],  # ends before the last row index
+            [0, 2, 4],  # ends past it
+        ],
+    )
+    def test_malformed_col_ptr_rejected(self, col_ptr):
+        with pytest.raises(EncodingError, match="col_ptr"):
+            interleaved_entry_counts(
+                np.array([0, 4, 1]), np.array(col_ptr), num_rows=10, num_pes=2
+            )
+
 
 @st.composite
 def sparsity_patterns(draw):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from repro.core.config import EIEConfig
 from repro.errors import WorkloadError
 from repro.models import MatVecNode
 from repro.workloads.benchmarks import ALL_BENCHMARKS, BENCHMARK_NAMES, LayerSpec, get_benchmark, scaled_benchmarks
+from repro.experiments import ExperimentRunner
+from repro.workloads import generator
 from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.models import (
     build_alexnet_fc_network,
@@ -99,6 +104,15 @@ class TestSyntheticGenerators:
             generate_sparse_pattern(0, 4, 0.5)
         with pytest.raises(WorkloadError):
             generate_sparse_pattern(4, 4, 0.0)
+        with pytest.raises(WorkloadError, match="column_block"):
+            generate_sparse_pattern(4, 4, 0.5, column_block=0)
+
+    @pytest.mark.parametrize(
+        ("rows", "dtype"), [(1, np.int16), (2**15, np.int16), (2**15 + 1, np.int32)]
+    )
+    def test_pattern_rows_are_narrow(self, rows, dtype):
+        pattern = generate_sparse_pattern(rows, 2, 0.5, rng=4)
+        assert pattern.row_indices.dtype == dtype
 
     def test_activation_density_and_nonnegativity(self):
         activations = generate_activations(2000, 0.3, rng=4)
@@ -159,6 +173,24 @@ class TestWorkloadBuilder:
     def test_invalid_pe_count_rejected(self, tiny_spec):
         with pytest.raises(WorkloadError):
             WorkloadBuilder().build(tiny_spec, num_pes=0)
+
+    def test_threaded_sweep_draws_each_pattern_once(self, monkeypatch):
+        # Two executor threads ask for the same layer's pattern at once; the
+        # slowed draw keeps the first one in flight while the second asks.
+        draws = Counter()
+
+        def slow_draw(rows, cols, density, rng):
+            draws[(rows, cols, density)] += 1
+            time.sleep(0.02)
+            return generate_sparse_pattern(rows, cols, density, rng)
+
+        monkeypatch.setattr(generator, "generate_sparse_pattern", slow_draw)
+        result = ExperimentRunner(builder=WorkloadBuilder(), executor="threads").run(
+            "fig11_scalability", jobs=2, scale=64
+        )
+        assert len({record["benchmark"] for record in result.records}) == 9
+        assert len(draws) == 9
+        assert set(draws.values()) == {1}
 
 
 class TestModelBuilders:
