@@ -191,8 +191,8 @@ def _sample_columns(
     """Row indices of columns ``[start, end)``, one chunk per block.
 
     Writes the columns' non-zero counts into ``column_counts[start:end]``;
-    ``buffers`` are flat draw, mask and transposed-mask buffers, each
-    ``rows * column_block`` long.
+    ``buffers`` are flat draw, mask and transposed-mask buffers, each long
+    enough for one block.
     """
     draws, mask, transposed = buffers
     chunks = []
@@ -207,11 +207,9 @@ def _sample_columns(
         # makes the non-zero scan run over contiguous memory.
         block_t = transposed[: rows * width].reshape(width, rows)
         np.copyto(block_t, block_mask.T)
-        column_offsets, row_ids = np.divmod(np.flatnonzero(block_t), rows)
-        chunks.append(row_ids.astype(row_dtype))
-        column_counts[block_start : block_start + width] = np.bincount(
-            column_offsets, minlength=width
-        )
+        column_counts[block_start : block_start + width] = np.count_nonzero(block_t, axis=1)
+        positions = np.flatnonzero(block_t)
+        chunks.append(np.remainder(positions, rows, out=positions).astype(row_dtype))
     return chunks
 
 
