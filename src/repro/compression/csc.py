@@ -47,6 +47,12 @@ __all__ = [
 #: Largest zero-run representable in a 4-bit relative index.
 DEFAULT_MAX_RUN = 15
 
+#: Fewest non-zeros for which :func:`interleaved_entry_counts` splits over
+#: two threads.  On 2 cores a two-part call took 1.15-1.35x the serial time
+#: at ~150k entries, 0.6-1.06x at ~260k and 0.5-0.83x from 0.58M up, so
+#: eight of the nine Table III layers split (NT-We, ~245k, stays serial).
+_SPLIT_ENTRIES = 2**18
+
 
 def _expand_streams(
     nonzero_values: np.ndarray, gaps: np.ndarray, max_run: int
@@ -626,9 +632,9 @@ def interleaved_entry_counts(
     groups them by (PE, column), and the zero runs, padding zeros and group
     sizes are read off the sorted keys.
 
-    Above :data:`~repro.utils.parallel.SPLIT_FLOOR` entries, on a host with
-    two usable CPUs, the columns split where half the entries fall and each
-    half sorts and reduces its own keys on its own thread.  A (PE, column)
+    From 2**18 entries, on a host with two usable CPUs, the columns split
+    where half the entries fall and each half sorts and reduces its own
+    keys on its own thread.  A (PE, column)
     group lies wholly in one half and its counts depend on its own keys
     only, and the keys keep the global column, so the halves fill disjoint
     cells of the outputs with exactly the serial values.
@@ -654,9 +660,8 @@ def interleaved_entry_counts(
             at ``len(row_indices)``; and when the packed keys would not fit
             in 63 bits.
     """
-    return _entry_counts(
-        row_indices, col_ptr, num_rows, num_pes, max_run, split_parts(np.size(row_indices))
-    )
+    parts = split_parts(np.size(row_indices), _SPLIT_ENTRIES)
+    return _entry_counts(row_indices, col_ptr, num_rows, num_pes, max_run, parts)
 
 
 def _entry_counts(

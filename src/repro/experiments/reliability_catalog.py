@@ -41,8 +41,8 @@ DEFAULT_SCHEME_GRID = ("none", "parity", "secded")
 def _compressed_model(ctx: ExperimentContext, name: str) -> CompressedModel:
     """Compress (and memoize) one model — shared across the BER/scheme axes.
 
-    ``ctx.memo`` is not reentrant, so every memoized dependency is resolved
-    *before* entering the memo; factories must never call ``ctx.memo``.
+    Every memoized dependency is resolved *before* entering the memo, so no
+    factory holds one key's lock while it waits for another's.
     """
     model = _build_model(ctx, name)
     session = _model_session(ctx)

@@ -23,7 +23,6 @@ into an :class:`~repro.experiments.result.ExperimentResult`:
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
@@ -36,6 +35,7 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments.registry import Experiment, ExperimentRegistry
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
+from repro.utils.parallel import ComputeOnce
 from repro.workloads.benchmarks import LayerSpec, get_benchmark
 from repro.workloads.generator import LayerWorkload, WorkloadBuilder
 
@@ -81,8 +81,7 @@ class ExperimentContext:
         self.compression = spec.compression_config()
         self.engine_name = spec.engine or "cycle"
         self.seed = spec.seed if spec.seed is not None else 0
-        self._memo: dict[Any, Any] = {}
-        self._memo_lock = threading.Lock()
+        self._memo: ComputeOnce[Any] = ComputeOnce()
 
     # -- helpers for point functions -----------------------------------------------
 
@@ -109,10 +108,7 @@ class ExperimentContext:
 
     def memo(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Compute-once storage for deterministic state shared across points."""
-        with self._memo_lock:
-            if key not in self._memo:
-                self._memo[key] = factory()
-            return self._memo[key]
+        return self._memo.get(key, factory)
 
     # -- execution -------------------------------------------------------------------
 

@@ -15,9 +15,7 @@ for it from two threads at once.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, TypeVar
 
 import numpy as np
 
@@ -25,13 +23,12 @@ from repro.compression.csc import DEFAULT_MAX_RUN, interleaved_entry_counts
 from repro.core.config import EIEConfig
 from repro.core.cycle_model import CycleStats
 from repro.errors import WorkloadError
+from repro.utils.parallel import ComputeOnce
 from repro.utils.rng import make_rng
 from repro.workloads.benchmarks import LayerSpec
 from repro.workloads.synthetic import SparsePattern, generate_activations, generate_sparse_pattern
 
 __all__ = ["LayerWorkload", "WorkloadBuilder"]
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -102,35 +99,6 @@ class LayerWorkload:
         return engine.run(engine.prepare(self)).stats
 
 
-class _ComputeOnce(Generic[T]):
-    """A cache whose value for each key is computed once, also under threads.
-
-    Concurrent callers of one missing key wait for the first to compute it;
-    different keys compute in parallel.
-    """
-
-    def __init__(self) -> None:
-        self._values: dict[Hashable, T] = {}
-        self._key_locks: dict[Hashable, threading.Lock] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: Hashable, factory: Callable[[], T]) -> T:
-        """The value of ``key``, computed by ``factory`` (never ``None``) once."""
-        with self._lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            value = self._values.get(key)
-            if value is None:
-                value = self._values[key] = factory()
-        return value
-
-    def clear(self) -> None:
-        """Forget every value."""
-        with self._lock:
-            self._values.clear()
-            self._key_locks.clear()
-
-
 class WorkloadBuilder:
     """Builds (and caches) full-scale benchmark workloads.
 
@@ -140,9 +108,9 @@ class WorkloadBuilder:
 
     def __init__(self, max_run: int = DEFAULT_MAX_RUN) -> None:
         self.max_run = int(max_run)
-        self._patterns: _ComputeOnce[SparsePattern] = _ComputeOnce()
-        self._activations: _ComputeOnce[np.ndarray] = _ComputeOnce()
-        self._workloads: _ComputeOnce[LayerWorkload] = _ComputeOnce()
+        self._patterns: ComputeOnce[SparsePattern] = ComputeOnce()
+        self._activations: ComputeOnce[np.ndarray] = ComputeOnce()
+        self._workloads: ComputeOnce[LayerWorkload] = ComputeOnce()
 
     # -- cached primitives ---------------------------------------------------------
 

@@ -28,6 +28,12 @@ __all__ = [
     "generate_dense_weights",
 ]
 
+#: Fewest draws for which :func:`generate_sparse_pattern` splits over two
+#: threads.  On 2 cores a two-part draw took 0.94-1.10x the serial time at
+#: 2**20 draws and 0.76-0.80x at 2**21; the smallest Table III layer
+#: (NT-We) draws 2.46M, so every Table III pattern splits.
+_SPLIT_DRAWS = 2**20
+
 
 @dataclass
 class SparsePattern:
@@ -101,9 +107,9 @@ def generate_sparse_pattern(
     memory for the large VGG-6 matrix (4096 x 25088).  Position ``(i, j)`` is
     a non-zero when its double is below ``density``.
 
-    Above :data:`~repro.utils.parallel.SPLIT_FLOOR` draws, on a PCG64 or
-    PCG64DXSM generator and a host with two usable CPUs, the columns split
-    at a block boundary into two halves sampled on two threads.  The first
+    From 2**20 draws, on a PCG64 or PCG64DXSM generator and a host with two
+    usable CPUs, the columns split at a block boundary into two halves
+    sampled on two threads.  The first
     half draws from ``rng`` itself, the second from a copy of its bit
     generator advanced past the first half's ``rows * split`` doubles, and
     every block keeps its serial width, so each double lands where the
@@ -117,9 +123,8 @@ def generate_sparse_pattern(
         raise WorkloadError(f"density must be in (0, 1], got {density}")
     if column_block < 1:
         raise WorkloadError(f"column_block must be >= 1, got {column_block}")
-    return _sample_pattern(
-        rows, cols, density, make_rng(rng), column_block, split_parts(rows * cols)
-    )
+    parts = split_parts(rows * cols, _SPLIT_DRAWS)
+    return _sample_pattern(rows, cols, density, make_rng(rng), column_block, parts)
 
 
 def _sample_pattern(

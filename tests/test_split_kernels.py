@@ -1,6 +1,6 @@
-"""The two-thread split of pattern sampling and interleaved-CSC entry counts.
+"""The thread helpers of ``repro.utils.parallel`` and the kernels they split.
 
-Tier-1's pinned digests run at ``scale=64``, below the split floor, so these
+Tier-1's pinned digests run at ``scale=64``, below the split floors, so these
 tests drive each kernel's private body with several parts on small inputs and
 hold it bit for bit to the one-part body and to the entry-count oracle.
 """
@@ -8,6 +8,7 @@ hold it bit for bit to the one-part body and to the entry-count oracle.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.compression.csc import interleaved_entry_counts
 from repro.errors import EncodingError
 from repro.utils import parallel
 from repro.workloads import synthetic
+from repro.workloads.benchmarks import ALL_BENCHMARKS
 from repro.workloads.synthetic import generate_sparse_pattern
 
 PARTS = (1, 2, 3, 7)
@@ -74,10 +76,59 @@ class TestRunParts:
 
     def test_split_needs_the_floor_and_two_cpus(self, monkeypatch):
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        assert parallel.split_parts(parallel.SPLIT_FLOOR - 1) == 1
-        assert parallel.split_parts(parallel.SPLIT_FLOOR) == 2
+        assert parallel.split_parts(99, 100) == 1
+        assert parallel.split_parts(100, 100) == 2
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-        assert parallel.split_parts(parallel.SPLIT_FLOOR) == 1
+        assert parallel.split_parts(100, 100) == 1
+
+
+    def test_table3_layers_that_split(self, monkeypatch):
+        # Every Table III pattern draw splits; every layer's entry counts
+        # split except NT-We's (~245k expected non-zeros, below 2**18).
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        draws = {
+            name: parallel.split_parts(spec.rows * spec.cols, synthetic._SPLIT_DRAWS)
+            for name, spec in ALL_BENCHMARKS.items()
+        }
+        entries = {
+            name: parallel.split_parts(
+                round(spec.rows * spec.cols * spec.weight_density), csc._SPLIT_ENTRIES
+            )
+            for name, spec in ALL_BENCHMARKS.items()
+        }
+        assert set(draws.values()) == {2}
+        assert [name for name, parts in entries.items() if parts == 1] == ["NT-We"]
+
+
+class TestComputeOnce:
+    def test_concurrent_callers_of_one_key_compute_it_once(self):
+        cache: parallel.ComputeOnce[int] = parallel.ComputeOnce()
+        calls = []
+        started = threading.Barrier(4)
+
+        def caller():
+            started.wait()
+            return cache.get("key", lambda: calls.append(1) or len(calls))
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            values = [future.result() for future in [pool.submit(caller) for _ in range(4)]]
+        assert values == [1, 1, 1, 1]
+        assert calls == [1]
+
+    def test_none_is_cached_and_clear_forgets(self):
+        cache: parallel.ComputeOnce[None] = parallel.ComputeOnce()
+        calls = []
+        assert cache.get("key", lambda: calls.append(1)) is None
+        assert cache.get("key", lambda: calls.append(1)) is None
+        assert calls == [1]
+        cache.clear()
+        cache.get("key", lambda: calls.append(1))
+        assert calls == [1, 1]
+
+    def test_a_factory_may_ask_for_another_key(self):
+        cache: parallel.ComputeOnce[int] = parallel.ComputeOnce()
+        assert cache.get("outer", lambda: cache.get("inner", lambda: 2) + 1) == 3
+        assert cache.get("inner", lambda: 0) == 2
 
 
 class TestSplitPattern:
@@ -122,7 +173,7 @@ class TestSplitPattern:
     def test_public_generator_splits_above_the_floor(self, monkeypatch):
         expected = generate_sparse_pattern(37, 1000, 0.3, rng=5, column_block=64)
         calls = _count_parts(monkeypatch, synthetic)
-        monkeypatch.setattr(parallel, "SPLIT_FLOOR", 1)
+        monkeypatch.setattr(synthetic, "_SPLIT_DRAWS", 1)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         actual = generate_sparse_pattern(37, 1000, 0.3, rng=5, column_block=64)
         assert calls == [2]
@@ -171,7 +222,7 @@ class TestSplitEntryCounts:
         row_indices, col_ptr = _csc_of(mask, np.int16)
         expected = interleaved_entry_counts(row_indices, col_ptr, 300, 7)
         calls = _count_parts(monkeypatch, csc)
-        monkeypatch.setattr(parallel, "SPLIT_FLOOR", 1)
+        monkeypatch.setattr(csc, "_SPLIT_ENTRIES", 1)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         actual = interleaved_entry_counts(row_indices, col_ptr, 300, 7)
         assert calls == [2]
