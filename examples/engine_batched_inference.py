@@ -10,8 +10,7 @@ batched, cached simulation:
    backends with a single ``run`` call each, and compare the batched cycle
    path against one ``run`` call per vector;
 3. sweep the FIFO depth reusing the one prepared layer (the session's
-   prepared-layer cache makes every depth point a pure recurrence run);
-4. cross-check a few vectors on the ``"rtl"`` backend.
+   prepared-layer cache makes every depth point a pure recurrence run).
 
 Run with:  python examples/engine_batched_inference.py
 (set REPRO_EXAMPLE_SCALE to shrink the problem, e.g. 8 for smoke tests)
@@ -84,12 +83,6 @@ def main() -> None:
     print(f"cache: {info['layers']['entries']} layer(s) compressed, "
           f"{info['prepared']['entries']} prepared, "
           f"{info['prepared']['hits']} prepared-cache hits")
-
-    # -- RTL cross-check ----------------------------------------------------------
-    rtl = session.run("rtl", layer, batch[:2])
-    print("\n=== rtl engine (2 vectors) ===")
-    print(f"matches functional       : {np.allclose(rtl.outputs, functional.outputs[:2])}")
-    print(f"max PE cycles (vector 0) : {max(r.cycles for r in rtl.extra['rtl'][0])}")
 
 
 if __name__ == "__main__":

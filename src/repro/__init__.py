@@ -4,8 +4,8 @@ The library implements, in pure Python + numpy:
 
 * the Deep Compression pipeline (pruning, 4-bit weight sharing,
   relative-indexed interleaved CSC encoding, Huffman storage accounting);
-* the EIE accelerator itself — functional (bit-exact) simulation, a
-  cycle-level performance model, and an RTL-style two-phase micro-simulator;
+* the EIE accelerator itself — functional (bit-exact) simulation and a
+  cycle-level performance model;
 * hardware cost models (Table I energies, the Table II PE area/power
   breakdown, an SRAM read-energy model, technology scaling);
 * analytic baseline platforms (CPU, GPU, mobile GPU, DaDianNao, ...);

@@ -1001,10 +1001,6 @@ def _run_engine(args: argparse.Namespace) -> str:
         rows.append(["Latency (us, total)", f"{sum(s.time_s for s in result.cycles) * 1e6:.2f}"])
         rows.append(["Load balance (first item)",
                      f"{result.cycles[0].load_balance_efficiency:.1%}"])
-    if "rtl" in result.extra:
-        per_item = result.extra["rtl"]
-        rows.append(["RTL cycles (max PE, first item)",
-                     max(r.cycles for r in per_item[0])])
     return f"Engine run ({args.engine}):\n" + format_table(["Field", "Value"], rows)
 
 

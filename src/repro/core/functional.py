@@ -16,9 +16,9 @@ A run gathers the listed entries (padding zeros included) of every
 broadcast column and accumulates ``S[I] * a_j`` with one ordered
 scatter-add.  Each output row belongs to one PE and its entries appear
 column by column, so every row sums its products in broadcast order, as
-:class:`~repro.core.pe.ProcessingElement` does one broadcast at a time.
-The access counters follow from the broadcast columns' per-(PE, column)
-entry and padding counts.
+a per-PE walk does one broadcast at a time.  The access counters
+(:class:`PEAccessCounters`) follow from the broadcast columns' per-(PE,
+column) entry and padding counts.
 """
 
 from __future__ import annotations
@@ -29,13 +29,43 @@ import numpy as np
 
 from repro.compression.pipeline import CompressedLayer
 from repro.core.config import EIEConfig
-from repro.core.pe import PEAccessCounters
 from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
 from repro.nn.layers import ACTIVATIONS
 from repro.utils.validation import require_matrix, require_vector
 
-__all__ = ["FunctionalResult", "FunctionalEIE"]
+__all__ = ["FunctionalResult", "FunctionalEIE", "PEAccessCounters"]
+
+
+@dataclass
+class PEAccessCounters:
+    """Memory-access and arithmetic counters accumulated by one PE."""
+
+    ptr_sram_reads: int = 0
+    spmat_sram_reads: int = 0
+    act_reg_reads: int = 0
+    act_reg_writes: int = 0
+    codebook_lookups: int = 0
+    macs: int = 0
+    entries_processed: int = 0
+    padding_entries_processed: int = 0
+    columns_skipped: int = 0
+
+    def merge(self, other: "PEAccessCounters") -> "PEAccessCounters":
+        """Return the element-wise sum of two counter sets."""
+        return PEAccessCounters(
+            ptr_sram_reads=self.ptr_sram_reads + other.ptr_sram_reads,
+            spmat_sram_reads=self.spmat_sram_reads + other.spmat_sram_reads,
+            act_reg_reads=self.act_reg_reads + other.act_reg_reads,
+            act_reg_writes=self.act_reg_writes + other.act_reg_writes,
+            codebook_lookups=self.codebook_lookups + other.codebook_lookups,
+            macs=self.macs + other.macs,
+            entries_processed=self.entries_processed + other.entries_processed,
+            padding_entries_processed=(
+                self.padding_entries_processed + other.padding_entries_processed
+            ),
+            columns_skipped=self.columns_skipped + other.columns_skipped,
+        )
 
 
 @dataclass
@@ -135,7 +165,7 @@ class FunctionalEIE:
 
         Args:
             activations: dense input activation vector of length
-                ``layer.cols``; zeros are skipped by the LNZD network.
+                ``layer.cols``; zeros are never broadcast.
             apply_nonlinearity: whether to apply the layer's non-linearity
                 (ReLU for the CNN benchmarks) to the accumulated outputs.
         """
@@ -157,7 +187,7 @@ class FunctionalEIE:
             )
         if self.fixed_point is not None:
             matrix = self.fixed_point.quantize(matrix)
-        # Broadcasts item by item, columns ascending: the LNZD schedule.
+        # Broadcasts item by item, non-zero columns ascending.
         items, columns = np.nonzero(matrix)
         if self.fixed_point is None:
             pre_activation = self._accumulate(matrix, items, columns)

@@ -21,9 +21,6 @@ identical to direct use of that class (the parity test suite pins this):
   packs only the PE lanes that have work in some item.  The timing of the
   mask that broadcasts every column (a dense input) is kept on the prepared
   layer per FIFO depth and clock, so it is simulated once.
-* :class:`RTLEngine` — wraps :func:`~repro.core.rtl.pe_rtl.run_pe_rtl`,
-  driving one two-phase RTL PE model per array slot through the broadcast
-  schedule and reassembling the interleaved outputs.
 
 ``CycleEngine.prepare`` also accepts a
 :class:`~repro.workloads.generator.LayerWorkload` (the synthetic full-size
@@ -43,15 +40,12 @@ from repro.core.cycle_model import (
     simulate_layer_cycles_batch,
 )
 from repro.core.functional import FunctionalEIE
-from repro.core.activation_queue import QueueEntry
-from repro.core.rtl.pe_rtl import run_pe_rtl
 from repro.engine.base import EngineResult, PreparedLayer, SimulationEngine
 from repro.engine.registry import register_engine
 from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
-from repro.nn.layers import ACTIVATIONS
 
-__all__ = ["FunctionalEngine", "CycleEngine", "RTLEngine"]
+__all__ = ["FunctionalEngine", "CycleEngine"]
 
 
 def _require_compressed_layer(engine_name: str, layer: object) -> CompressedLayer:
@@ -275,79 +269,4 @@ class CycleEngine(SimulationEngine):
         stats = tuple(row[index] for row in by_layer for index in inverse)
         return EngineResult(
             engine=self.name, batch_size=matrix.shape[0], batched=batched, cycles=stats
-        )
-
-
-@register_engine
-class RTLEngine(SimulationEngine):
-    """Two-phase RTL micro-simulation behind the engine seam.
-
-    Each PE of the array is modelled by
-    :class:`~repro.core.rtl.pe_rtl.RTLProcessingElement` driven through the
-    layer's broadcast schedule; the interleaved per-PE accumulators are
-    reassembled into the dense output and the layer non-linearity applied.
-    Cycle counts are reported per PE in ``extra["rtl"]`` (the PEs run
-    independently, so the array-level latency is their maximum).
-    """
-
-    name = "rtl"
-
-    def prepare_token(self) -> tuple:
-        # The payload is the layer itself; the FIFO depth is applied at run
-        # time, so one preparation serves every depth at the same PE count.
-        return (self.name, self.config.num_pes)
-
-    def prepare(self, layer: CompressedLayer) -> PreparedLayer:
-        layer = _require_compressed_layer(self.name, layer)
-        if layer.num_pes != self.config.num_pes:
-            raise SimulationError(
-                f"layer is interleaved over {layer.num_pes} PEs but the configuration "
-                f"has {self.config.num_pes}"
-            )
-        return PreparedLayer(
-            engine=self.name,
-            num_pes=layer.num_pes,
-            rows=layer.rows,
-            cols=layer.cols,
-            activation_name=layer.activation_name,
-            payload=layer,
-            source=layer,
-            cache_token=self.prepare_token(),
-        )
-
-    def run(self, prepared: PreparedLayer, activations: np.ndarray | None = None) -> EngineResult:
-        self._check_prepared(prepared)
-        if activations is None:
-            raise SimulationError(f"engine {self.name!r} requires an activation vector or batch")
-        matrix, batched = self._as_batch(prepared, activations)
-        layer: CompressedLayer = prepared.payload
-        nonlinearity = ACTIVATIONS[prepared.activation_name]
-        outputs = np.zeros((matrix.shape[0], prepared.rows), dtype=np.float64)
-        runs = []
-        for item, row in enumerate(matrix):
-            schedule = [
-                QueueEntry(column=int(column), value=float(row[column]))
-                for column in np.nonzero(row)[0]
-            ]
-            pre_activation = np.zeros(prepared.rows, dtype=np.float64)
-            per_pe = []
-            for pe, slice_matrix in enumerate(layer.storage.per_pe):
-                result = run_pe_rtl(
-                    slice_matrix,
-                    layer.codebook,
-                    schedule,
-                    queue_depth=self.config.fifo_depth,
-                )
-                local_rows = slice_matrix.num_rows
-                global_rows = np.arange(local_rows, dtype=np.int64) * prepared.num_pes + pe
-                pre_activation[global_rows] = result.accumulators
-                per_pe.append(result)
-            outputs[item] = nonlinearity(pre_activation)
-            runs.append(tuple(per_pe))
-        return EngineResult(
-            engine=self.name,
-            batch_size=matrix.shape[0],
-            batched=batched,
-            outputs=outputs,
-            extra={"rtl": tuple(runs)},
         )

@@ -1,10 +1,9 @@
 """The simulation-engine seam: one protocol for every EIE backend.
 
-Three simulators "run a layer on EIE" —
-:class:`~repro.core.functional.FunctionalEIE` (bit-exact values), the
-broadcast/FIFO recurrence of :mod:`repro.core.cycle_model` (timing) and the
-RTL kernel under :mod:`repro.core.rtl`.  This module defines the single seam
-they sit behind:
+Two simulators "run a layer on EIE" —
+:class:`~repro.core.functional.FunctionalEIE` (bit-exact values) and the
+broadcast/FIFO recurrence of :mod:`repro.core.cycle_model` (timing).  This
+module defines the single seam they sit behind:
 
 * :class:`SimulationEngine` — ``prepare(layer) -> PreparedLayer`` performs all
   per-layer work (building simulators, extracting work matrices) once, and
@@ -27,7 +26,7 @@ this).  Backends register themselves with
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
@@ -87,7 +86,6 @@ class EngineResult:
         cycles: per-item timing statistics (empty for value-only backends).
         functional: per-item functional results with access counters (empty
             for timing-only backends).
-        extra: engine-specific additions (e.g. per-PE RTL run records).
     """
 
     engine: str
@@ -96,7 +94,6 @@ class EngineResult:
     outputs: np.ndarray | None = None
     cycles: tuple[CycleStats, ...] = ()
     functional: tuple[FunctionalResult, ...] = ()
-    extra: dict[str, Any] = field(default_factory=dict)
 
     @property
     def output(self) -> np.ndarray:

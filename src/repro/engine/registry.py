@@ -13,7 +13,6 @@ Key        Backend
 ========== ================================================================
 functional bit-exact value simulation (:class:`FunctionalEIE` adapter)
 cycle      broadcast/FIFO timing model (:mod:`repro.core.cycle_model` adapter)
-rtl        two-phase RTL micro-simulation (:mod:`repro.core.rtl` adapter)
 ========== ================================================================
 """
 

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = ["make_rng", "derive_seed"]
 
 
@@ -19,13 +21,15 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 
     ``seed`` may already be a generator (returned unchanged), an integer, or
     ``None`` for a default deterministic seed of 0.  The library never uses
-    OS entropy so results are reproducible.
+    OS entropy so results are reproducible.  A negative integer raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None:
-        seed = 0
-    return np.random.default_rng(int(seed))
+    seed = 0 if seed is None else int(seed)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def derive_seed(base: int, *names: object) -> int:

@@ -44,8 +44,9 @@ class TestParser:
         assert (args.rows, args.cols, args.batch) == (32, 48, 4)
 
     def test_run_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--engine", "verilog"])
+        for engine in ("verilog", "rtl"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--engine", engine])
 
     def test_experiment_run_command_options(self):
         args = build_parser().parse_args(
@@ -72,7 +73,7 @@ class TestVersionAndUnknownCommands:
         assert main(["engine", "list"]) == 0
         out = capsys.readouterr().out
         engines = out.splitlines()[1:]
-        assert engines == ["cycle", "functional", "rtl"]
+        assert engines == ["cycle", "functional"]
 
     def test_unknown_command_exits_2_with_one_line_hint(self, capsys):
         assert main(["bogus-command"]) == 2
@@ -248,6 +249,12 @@ class TestStaticCommands:
     def test_run_rejects_bad_sizes(self):
         with pytest.raises(SystemExit):
             main(["run", "--rows", "0", "--cols", "8", "--pes", "1"])
+
+    def test_run_negative_seed_is_a_one_line_error(self, capsys):
+        assert main(["run", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "seed must be a non-negative integer, got -1" in err
 
 
 class TestModelCommands:

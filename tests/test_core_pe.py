@@ -1,12 +1,12 @@
-"""Tests for the functional processing element."""
+"""Tests for the per-PE walk of the functional oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from functional_oracle import ProcessingElement
 
 from repro.core.config import EIEConfig
-from repro.core.pe import ProcessingElement
 from repro.errors import SimulationError
 from repro.nn.fixed_point import FixedPointFormat
 

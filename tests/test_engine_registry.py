@@ -11,7 +11,6 @@ from repro.engine import (
     CycleEngine,
     EngineRegistry,
     FunctionalEngine,
-    RTLEngine,
     Session,
     SimulationEngine,
     register_engine,
@@ -21,10 +20,9 @@ from repro.errors import ConfigurationError, SimulationError
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert EngineRegistry.names() == ("cycle", "functional", "rtl")
+        assert EngineRegistry.names() == ("cycle", "functional")
         assert EngineRegistry.get("functional") is FunctionalEngine
         assert EngineRegistry.get("cycle") is CycleEngine
-        assert EngineRegistry.get("rtl") is RTLEngine
 
     def test_create_binds_config(self):
         config = EIEConfig(num_pes=8)

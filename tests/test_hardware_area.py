@@ -74,6 +74,7 @@ class TestLNZD:
         assert num_lnzd_units(1) == 1
         assert num_lnzd_units(4) == 1
         assert num_lnzd_units(16) == 5
+        assert num_lnzd_units(6) == 3  # two leaves, one of them partly filled, and a root
 
     def test_invalid_count_rejected(self):
         with pytest.raises(ConfigurationError):

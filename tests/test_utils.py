@@ -34,6 +34,10 @@ class TestMakeRng:
         generator = np.random.default_rng(3)
         assert make_rng(generator) is generator
 
+    def test_negative_seed_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="-1"):
+            make_rng(-1)
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
